@@ -6,6 +6,8 @@
 // kernel's page cache; on traditional UNIX only 10% of memory caches
 // blocks, so the rebuild still pays disk time. Reported time is simulated
 // I/O time on identical disk models.
+//
+// Output: one JSON object on stdout; the human-readable table on stderr.
 
 #include <cstdio>
 
@@ -26,16 +28,33 @@ double CpuMs(const CompileConfig& c) {
       c.source_pages + c.headers * c.header_pages + c.source_pages /* object out */;
   return c.modules * pages_per_module * kCpuMsPerPage;
 }
+
+// Reports one build as a table row (stderr) and a JSON element (stdout);
+// returns its end-to-end time in ms.
+double ReportBuild(const char* label, const char* system, const char* build,
+                   const CompileResult& r, double cpu_ms) {
+  const double io_ms = r.virtual_ns / 1e6;
+  std::fprintf(stderr, "%-30s %12llu %12.1f %14.1f\n", label, (unsigned long long)r.disk_ops,
+               io_ms, io_ms + cpu_ms);
+  static const char* sep = "";
+  std::printf("%s\n  {\"system\": \"%s\", \"build\": \"%s\", \"disk_ops\": %llu, "
+              "\"io_ms\": %.3f, \"total_ms\": %.3f}",
+              sep, system, build, (unsigned long long)r.disk_ops, io_ms, io_ms + cpu_ms);
+  sep = ",";
+  return io_ms + cpu_ms;
+}
 }  // namespace
 
 int main() {
-  std::printf("E1: cached small compilation — Mach mapped files vs traditional "
-              "buffered I/O (10%% buffer cache)\n");
+  std::fprintf(stderr, "E1: cached small compilation — Mach mapped files vs traditional "
+                       "buffered I/O (10%% buffer cache)\n");
   CompileConfig config;  // Small program: fits the kernel cache, not the 10% cache.
   const double cpu_ms = CpuMs(config);
-  std::printf("(compiler CPU model: %.1f ms/page -> %.0f ms of compute per build)\n\n",
-              kCpuMsPerPage, cpu_ms);
-  std::printf("%-30s %12s %12s %14s\n", "build", "disk ops", "I/O ms", "total ms");
+  std::fprintf(stderr, "(compiler CPU model: %.1f ms/page -> %.0f ms of compute per build)\n\n",
+               kCpuMsPerPage, cpu_ms);
+  std::fprintf(stderr, "%-30s %12s %12s %14s\n", "build", "disk ops", "I/O ms", "total ms");
+  std::printf("{\"bench\": \"compile_cache\", \"cpu_ms_per_build\": %.1f, \"builds\": [",
+              cpu_ms);
 
   double mach_warm_total = 0, trad_warm_total = 0;
   uint64_t mach_warm_ops = 0;
@@ -43,32 +62,26 @@ int main() {
     MachBuildEnv env(config);
     CompileResult cold = env.Build();
     CompileResult warm = env.Build();  // Rebuild: the §9 "cached" case.
-    std::printf("%-30s %12llu %12.1f %14.1f\n", "mach cold build",
-                (unsigned long long)cold.disk_ops, cold.virtual_ns / 1e6,
-                cold.virtual_ns / 1e6 + cpu_ms);
-    std::printf("%-30s %12llu %12.1f %14.1f\n", "mach warm (cached) build",
-                (unsigned long long)warm.disk_ops, warm.virtual_ns / 1e6,
-                warm.virtual_ns / 1e6 + cpu_ms);
-    mach_warm_total = warm.virtual_ns / 1e6 + cpu_ms;
+    ReportBuild("mach cold build", "mach", "cold", cold, cpu_ms);
+    mach_warm_total = ReportBuild("mach warm (cached) build", "mach", "warm", warm, cpu_ms);
     mach_warm_ops = warm.disk_ops;
   }
   {
     TraditionalBuildEnv env(config);
     CompileResult cold = env.Build();
     CompileResult warm = env.Build();
-    std::printf("%-30s %12llu %12.1f %14.1f\n", "traditional cold build",
-                (unsigned long long)cold.disk_ops, cold.virtual_ns / 1e6,
-                cold.virtual_ns / 1e6 + cpu_ms);
-    std::printf("%-30s %12llu %12.1f %14.1f\n", "traditional warm build",
-                (unsigned long long)warm.disk_ops, warm.virtual_ns / 1e6,
-                warm.virtual_ns / 1e6 + cpu_ms);
-    trad_warm_total = warm.virtual_ns / 1e6 + cpu_ms;
+    ReportBuild("traditional cold build", "traditional", "cold", cold, cpu_ms);
+    trad_warm_total = ReportBuild("traditional warm build", "traditional", "warm", warm, cpu_ms);
   }
-  std::printf("\ncached-compilation speedup (traditional/mach, end to end): %.2fx  "
-              "(paper: ~2x)\n",
-              trad_warm_total / mach_warm_total);
-  std::printf("note: mach warm build did %llu disk ops — the mapped-file cache "
-              "absorbed the working set (§9)\n",
-              (unsigned long long)mach_warm_ops);
+  const double speedup = trad_warm_total / mach_warm_total;
+  std::printf("\n ],\n \"cached_speedup\": %.3f}\n", speedup);
+  std::fprintf(stderr,
+               "\ncached-compilation speedup (traditional/mach, end to end): %.2fx  "
+               "(paper: ~2x)\n",
+               speedup);
+  std::fprintf(stderr,
+               "note: mach warm build did %llu disk ops — the mapped-file cache "
+               "absorbed the working set (§9)\n",
+               (unsigned long long)mach_warm_ops);
   return 0;
 }

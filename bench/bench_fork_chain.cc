@@ -8,14 +8,17 @@
 // spliced out as their references drop, so both fault latency and resident
 // memory are O(1) in depth.
 //
-// Args: {depth, collapse? 0/1}. Counters: chain_len (survivor's actual chain
-// length), resident (active+inactive pages), collapses, migrated.
+// Args: {depth, collapse? 0/1}; the no-collapse arm arms the vm.collapse
+// fault point at probability 1, so every collapse opportunity is declined.
+// Counters: chain_len (survivor's actual chain length), resident
+// (active+inactive pages), collapses, migrated.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
 
+#include "src/base/fault_injector.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/task.h"
 
@@ -31,7 +34,9 @@ std::unique_ptr<Kernel> MakeKernel(bool collapse) {
   config.frames = 8192;  // Roomy: reclaim must not pollute the numbers.
   config.page_size = kPage;
   config.disk_latency = DiskLatencyModel{0, 0};
-  config.vm.shadow_collapse = collapse;
+  static FaultInjector no_collapse;
+  no_collapse.SetProbability(VmSystem::kFaultCollapse, 1.0);
+  config.fault_injector = collapse ? nullptr : &no_collapse;
   return std::make_unique<Kernel>(config);
 }
 

@@ -5,6 +5,8 @@
 // but fits the Mach page cache. Each I/O system performs the identical
 // multi-pass build (the large shared-header re-reference pattern of system
 // builds); the reported metric is the ratio of disk operations.
+//
+// Output: one JSON object on stdout; the human-readable table on stderr.
 
 #include <cstdio>
 
@@ -13,9 +15,10 @@
 using namespace mach_bench;
 
 int main() {
-  std::printf("E2: large system compilation — total I/O operations\n\n");
-  std::printf("%-10s %-10s %12s %12s %12s %10s\n", "modules", "headers", "mach ops",
-              "trad ops", "reduction", "");
+  std::fprintf(stderr, "E2: large system compilation — total I/O operations\n\n");
+  std::fprintf(stderr, "%-10s %-10s %12s %12s %12s %10s\n", "modules", "headers", "mach ops",
+               "trad ops", "reduction", "");
+  std::printf("{\"bench\": \"io_reduction\", \"rows\": [");
 
   // Sweep build sizes; the reduction grows as the shared-header working set
   // outgrows the 10% buffer cache (102 blocks on this 4 MB machine) while
@@ -26,6 +29,7 @@ int main() {
     int headers;
   };
   const Row rows[] = {{12, 12}, {16, 16}, {32, 24}, {48, 32}};
+  const char* sep = "";
   for (const Row& row : rows) {
     CompileConfig config;
     config.frames = 1024;  // 4 MB machine: 10% buffer cache = 102 blocks.
@@ -43,13 +47,20 @@ int main() {
       TraditionalBuildEnv env(config);
       trad_ops = env.Build().disk_ops;
     }
-    std::printf("%-10d %-10d %12llu %12llu %11.1fx %10s\n", row.modules, row.headers,
-                (unsigned long long)mach_ops, (unsigned long long)trad_ops,
-                static_cast<double>(trad_ops) / (mach_ops ? mach_ops : 1),
-                row.modules == 48 ? "(paper: ~10x)" : "");
+    const double reduction = static_cast<double>(trad_ops) / (mach_ops ? mach_ops : 1);
+    std::fprintf(stderr, "%-10d %-10d %12llu %12llu %11.1fx %10s\n", row.modules, row.headers,
+                 (unsigned long long)mach_ops, (unsigned long long)trad_ops, reduction,
+                 row.modules == 48 ? "(paper: ~10x)" : "");
+    std::printf("%s\n  {\"modules\": %d, \"headers\": %d, \"mach_disk_ops\": %llu, "
+                "\"traditional_disk_ops\": %llu, \"reduction\": %.2f}",
+                sep, row.modules, row.headers, (unsigned long long)mach_ops,
+                (unsigned long long)trad_ops, reduction);
+    sep = ",";
   }
-  std::printf("\nshape: the traditional path re-reads every shared header per module\n"
-              "once the 10%% buffer cache thrashes; the Mach path reads each header\n"
-              "from disk once and serves the rest from the page cache.\n");
+  std::printf("\n]}\n");
+  std::fprintf(stderr,
+               "\nshape: the traditional path re-reads every shared header per module\n"
+               "once the 10%% buffer cache thrashes; the Mach path reads each header\n"
+               "from disk once and serves the rest from the page cache.\n");
   return 0;
 }

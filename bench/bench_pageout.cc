@@ -11,6 +11,8 @@
 // with the default pager and keeps allocating; with protection OFF pageout
 // cannot free those pages. Reported: pages the kernel managed to reclaim in
 // a fixed window.
+//
+// Output: one JSON object on stdout; the human-readable tables on stderr.
 
 #include <chrono>
 #include <cstdio>
@@ -26,7 +28,7 @@ using namespace mach;
 
 constexpr VmSize kPage = 4096;
 
-void ReplacementRun(const char* name, bool skewed) {
+void ReplacementRun(const char* name, bool skewed, const char* sep) {
   Kernel::Config config;
   config.frames = 128;
   config.page_size = kPage;
@@ -56,8 +58,12 @@ void ReplacementRun(const char* name, bool skewed) {
                                                         start)
                   .count();
   VmStatistics st = kernel.vm().Statistics();
-  std::printf("  %-12s %10llu %10llu %14llu %10.0f\n", name,
-              (unsigned long long)st.pageouts, (unsigned long long)st.pageins,
+  std::fprintf(stderr, "  %-12s %10llu %10llu %14llu %10.0f\n", name,
+               (unsigned long long)st.pageouts, (unsigned long long)st.pageins,
+               (unsigned long long)st.reactivations, ms);
+  std::printf("%s\n  {\"pattern\": \"%s\", \"pageouts\": %llu, \"pageins\": %llu, "
+              "\"reactivations\": %llu, \"real_ms\": %.1f}",
+              sep, name, (unsigned long long)st.pageouts, (unsigned long long)st.pageins,
               (unsigned long long)st.reactivations, ms);
   task.reset();
 }
@@ -74,7 +80,7 @@ class StuckPager : public DataManager {
   }
 };
 
-uint64_t AblationRun(bool protection_on) {
+uint64_t AblationRun(bool protection_on, const char* sep) {
   Kernel::Config config;
   config.frames = 64;
   config.page_size = kPage;
@@ -117,9 +123,13 @@ uint64_t AblationRun(bool protection_on) {
   std::this_thread::sleep_for(std::chrono::milliseconds(200));  // Let the daemon settle.
   VmStatistics st = kernel.vm().Statistics();
   uint64_t free_frames = st.free_count;
-  std::printf("  protection %-4s %14.0f %14llu %14llu\n", protection_on ? "ON" : "OFF",
-              churn_ms, (unsigned long long)st.parked_pageouts,
-              (unsigned long long)free_frames);
+  std::fprintf(stderr, "  protection %-4s %14.0f %14llu %14llu\n", protection_on ? "ON" : "OFF",
+               churn_ms, (unsigned long long)st.parked_pageouts,
+               (unsigned long long)free_frames);
+  std::printf("%s\n  {\"protection\": %s, \"churn_ms\": %.1f, \"parked_pages\": %llu, "
+              "\"free_frames\": %llu}",
+              sep, protection_on ? "true" : "false", churn_ms,
+              (unsigned long long)st.parked_pageouts, (unsigned long long)free_frames);
   task.reset();
   other.reset();
   return free_frames;
@@ -128,23 +138,28 @@ uint64_t AblationRun(bool protection_on) {
 }  // namespace
 
 int main() {
-  std::printf("E7: page replacement and the Sec 6.2.2 errant-manager protection\n\n");
-  std::printf("part 1: replacement over 3x physical memory (4 rounds)\n");
-  std::printf("  %-12s %10s %10s %14s %10s\n", "pattern", "pageouts", "pageins",
-              "reactivations", "real ms");
-  ReplacementRun("sequential", /*skewed=*/false);
-  ReplacementRun("hot/cold", /*skewed=*/true);
-  std::printf("  shape: the skewed run reactivates its hot set instead of evicting\n"
-              "  it (second-chance LRU, Sec 5.4), cutting pageouts.\n\n");
+  std::fprintf(stderr, "E7: page replacement and the Sec 6.2.2 errant-manager protection\n\n");
+  std::fprintf(stderr, "part 1: replacement over 3x physical memory (4 rounds)\n");
+  std::fprintf(stderr, "  %-12s %10s %10s %14s %10s\n", "pattern", "pageouts", "pageins",
+               "reactivations", "real ms");
+  std::printf("{\"bench\": \"pageout\",\n \"replacement\": [");
+  ReplacementRun("sequential", /*skewed=*/false, "");
+  ReplacementRun("hot/cold", /*skewed=*/true, ",");
+  std::fprintf(stderr, "  shape: the skewed run reactivates its hot set instead of evicting\n"
+                       "  it (second-chance LRU, Sec 5.4), cutting pageouts.\n\n");
 
-  std::printf("part 2: an errant manager holds ~7/8 of memory dirty; how much\n"
-              "physical memory can the kernel take back under pressure?\n");
-  std::printf("  %-15s %14s %14s %14s\n", "", "churn ms", "parked pages", "free frames");
-  uint64_t on = AblationRun(true);
-  uint64_t off = AblationRun(false);
-  std::printf("  shape: with Sec 6.2.2 protection the hostage pages are parked with\n"
-              "  the default pager and their frames recovered (%llu free vs %llu free\n"
-              "  frames of 64); without it they stay pinned until the manager dies.\n",
-              (unsigned long long)on, (unsigned long long)off);
+  std::fprintf(stderr, "part 2: an errant manager holds ~7/8 of memory dirty; how much\n"
+                       "physical memory can the kernel take back under pressure?\n");
+  std::fprintf(stderr, "  %-15s %14s %14s %14s\n", "", "churn ms", "parked pages",
+               "free frames");
+  std::printf("],\n \"errant_manager\": [");
+  uint64_t on = AblationRun(true, "");
+  uint64_t off = AblationRun(false, ",");
+  std::printf("]}\n");
+  std::fprintf(stderr,
+               "  shape: with Sec 6.2.2 protection the hostage pages are parked with\n"
+               "  the default pager and their frames recovered (%llu free vs %llu free\n"
+               "  frames of 64); without it they stay pinned until the manager dies.\n",
+               (unsigned long long)on, (unsigned long long)off);
   return 0;
 }

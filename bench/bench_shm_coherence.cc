@@ -14,10 +14,9 @@
 //   makespan  = max over directory instances of service_ns
 //   speedup   = sum(service_ns) / makespan
 //
-// The centralised arm (the old SharedMemoryServer — one directory, one
-// lock, one request port) serialises every action, so its makespan equals
-// the total and its throughput stays flat no matter the shard axis. The
-// sharded arm partitions the page space by SplitMix64 hash across N
+// The centralised arm (a 1-shard broker — one directory, one lock, one
+// request port) serialises every action, so its makespan equals the total.
+// The sharded arm partitions the page space by SplitMix64 hash across N
 // independent directories, so disjoint-page load spreads and throughput
 // grows near-linearly in N — bounded only by hash balance. Write sharing
 // adds forwards/recalls against the hinted owner; the hint counters in the
@@ -37,7 +36,6 @@
 #include "src/kernel/kernel.h"
 #include "src/kernel/task.h"
 #include "src/managers/shm/shm_broker.h"
-#include "src/managers/shm/shm_server.h"
 
 namespace {
 
@@ -58,7 +56,7 @@ std::unique_ptr<Kernel> MakeHost(const std::string& name) {
 }
 
 struct Cell {
-  std::string arm;  // "centralized" | "sharded"
+  std::string arm;  // "centralized" (1 shard) | "sharded"
   size_t shards = 1;
   int hosts = 0;
   int write_pct = 0;
@@ -86,10 +84,10 @@ void HostSweep(Task& task, VmOffset base, int host_index, int write_pct) {
   }
 }
 
-Cell RunCell(const std::string& arm, size_t shards, int hosts, int write_pct) {
+Cell RunCell(size_t shards, int hosts, int write_pct) {
   Cell cell;
-  cell.arm = arm;
-  cell.shards = arm == "centralized" ? 1 : shards;
+  cell.arm = shards == 1 ? "centralized" : "sharded";
+  cell.shards = shards;
   cell.hosts = hosts;
   cell.write_pct = write_pct;
 
@@ -99,19 +97,9 @@ Cell RunCell(const std::string& arm, size_t shards, int hosts, int write_pct) {
 
   const VmSize region_pages = kSharedPages + static_cast<VmSize>(hosts) * kPrivatePages;
 
-  std::unique_ptr<SharedMemoryServer> server;
-  std::unique_ptr<ShmBroker> broker;
-  SendRight central_region;
-  ShmRegionInfoArgs info;
-  if (arm == "centralized") {
-    server = std::make_unique<SharedMemoryServer>(options);
-    server->Start();
-    central_region = server->GetRegion("bench", region_pages * kPage);
-  } else {
-    broker = std::make_unique<ShmBroker>("bench", shards, options);
-    broker->Start();
-    info = broker->GetRegion("bench", region_pages * kPage);
-  }
+  ShmBroker broker("bench", shards, options);
+  broker.Start();
+  ShmRegionInfoArgs info = broker.GetRegion("bench", region_pages * kPage);
 
   std::vector<std::unique_ptr<Kernel>> kernels;
   std::vector<std::shared_ptr<Task>> tasks;
@@ -119,12 +107,7 @@ Cell RunCell(const std::string& arm, size_t shards, int hosts, int write_pct) {
   for (int h = 0; h < hosts; ++h) {
     kernels.push_back(MakeHost("h" + std::to_string(h)));
     tasks.push_back(kernels.back()->CreateTask());
-    if (arm == "centralized") {
-      bases.push_back(
-          tasks.back()->VmAllocateWithPager(region_pages * kPage, central_region, 0).value());
-    } else {
-      bases.push_back(ShmBroker::MapRegion(*tasks.back(), info).value());
-    }
+    bases.push_back(ShmBroker::MapRegion(*tasks.back(), info).value());
   }
 
   auto start = std::chrono::steady_clock::now();
@@ -143,15 +126,9 @@ Cell RunCell(const std::string& arm, size_t shards, int hosts, int write_pct) {
                                            std::chrono::steady_clock::now() - start)
                                            .count());
 
-  if (arm == "centralized") {
-    cell.counters = server->directory().counters();
-    cell.total_ns = cell.counters.service_ns;
-    cell.makespan_ns = cell.counters.service_ns;
-  } else {
-    cell.counters = broker->aggregate_counters();
-    cell.total_ns = cell.counters.service_ns;
-    cell.makespan_ns = broker->max_shard_service_ns();
-  }
+  cell.counters = broker.aggregate_counters();
+  cell.total_ns = cell.counters.service_ns;
+  cell.makespan_ns = broker.max_shard_service_ns();
   cell.actions = cell.total_ns / kServiceCostNs;
   cell.speedup =
       cell.makespan_ns ? static_cast<double>(cell.total_ns) / cell.makespan_ns : 0.0;
@@ -161,12 +138,7 @@ Cell RunCell(const std::string& arm, size_t shards, int hosts, int write_pct) {
   for (auto& t : tasks) {
     t.reset();
   }
-  if (server) {
-    server->Stop();
-  }
-  if (broker) {
-    broker->Stop();
-  }
+  broker.Stop();
   return cell;
 }
 
@@ -210,12 +182,7 @@ int main() {
   for (int hosts : host_axis) {
     for (int wp : write_pcts) {
       for (size_t shards : shard_axis) {
-        // The centralised arm does not vary along the shard axis; run it
-        // once per (hosts, write_pct) and let the flat line speak.
-        if (shards == shard_axis[0]) {
-          cells.push_back(RunCell("centralized", 1, hosts, wp));
-        }
-        cells.push_back(RunCell("sharded", shards, hosts, wp));
+        cells.push_back(RunCell(shards, hosts, wp));
       }
     }
   }
@@ -226,16 +193,16 @@ int main() {
                  (unsigned long long)c.counters.hint_hits);
   }
 
-  // Acceptance digests: sharded throughput must be monotonic in shard count
-  // (>=2x by 4 shards) on the disjoint two-host config, and write sharing
-  // must exercise the hint chain.
+  // Acceptance digests: throughput must be monotonic in shard count (>=2x
+  // by 4 shards over the centralised arm) on the disjoint two-host config,
+  // and write sharing must exercise the hint chain.
   double thru[9] = {0};  // Indexed by shard count, hosts=2, write_pct=0.
   uint64_t hint_hits_sharing = 0;
   for (const Cell& c : cells) {
-    if (c.arm == "sharded" && c.hosts == 2 && c.write_pct == 0 && c.shards <= 8) {
+    if (c.hosts == 2 && c.write_pct == 0 && c.shards <= 8) {
       thru[c.shards] = c.throughput_actions_per_ms;
     }
-    if (c.arm == "sharded" && c.hosts == 2 && c.write_pct > 0) {
+    if (c.hosts == 2 && c.write_pct > 0) {
       hint_hits_sharing += c.counters.hint_hits;
     }
   }
@@ -263,8 +230,8 @@ int main() {
   std::printf("}\n");
 
   std::fprintf(stderr,
-               "\nshape: the centralised directory serialises every action (speedup 1.0,\n"
-               "flat throughput); the sharded directory spreads disjoint-page load by the\n"
+               "\nshape: the centralised (1-shard) directory serialises every action\n"
+               "(speedup 1.0); the sharded directory spreads disjoint-page load by the\n"
                "page-hash, so throughput grows near-linearly in shard count (monotonic=%s,\n"
                "x%.2f at 4 shards). Write sharing drives forwards through the owner hint\n"
                "(hint_hits=%llu over the two-host cells).\n",

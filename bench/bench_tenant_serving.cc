@@ -1,22 +1,25 @@
 // E15: multi-tenant transactional file serving under pressure, faults, and
 // a mid-run host crash — the system-wide "traffic" benchmark. Drives the
 // tests/workload tenant workload (mfs mapped files + Camelot recoverable
-// ledger + sharded shm board, remote tenants paging over NetLink) across
-// {1 host clean, 4 hosts chaos} x {pageout clustering on, off} and emits
-// one JSON document on stdout (ci.sh bench captures it as
-// BENCH_tenant_serving.json); the human-readable summary goes to stderr.
+// ledger + sharded shm board, remote tenants paging over NetLink) in two
+// arms, {1 host clean, 4 hosts chaos}, and emits one JSON document on
+// stdout (ci.sh bench captures it as BENCH_tenant_serving.json); the
+// human-readable summary goes to stderr.
 //
 // Reported per arm:
 //   * committed-transaction throughput over virtual time;
 //   * an HDR-style log-bucket latency histogram (p50/p99/p999, virtual ns);
 //   * the mid-run crash's recovery time and the partition heal time;
 //   * retransmit / abort / pageout-clustering counters.
-// Plus a deterministic single-host clustering ablation (BenchEnv, no
-// faults): the same dirty sweep with clustering on and off, showing the
-// pager_data_write message-count reduction directly.
+// Plus a single-host clustering ablation (BenchEnv, no faults): the same
+// dirty sweep with pageout_cluster_max 16 and 1, showing the
+// pager_data_write message-count reduction directly. The serving arms run
+// the default cap only: their clustering win did not reproduce across runs
+// (1.0-1.3 pages per run), so the ablation lives in the sweep alone.
 //
-// All time is virtual (SimClock) and the injector is seeded, so the
-// numbers are deterministic and diffable.
+// All time is virtual (SimClock) and the injector is seeded. The pageout
+// daemon still races the workload in wall-clock time, so counts and
+// latencies vary run to run on a multi-CPU host.
 
 #include <cstdio>
 #include <string>
@@ -42,9 +45,9 @@ struct AblationArm {
 // One deterministic dirty sweep: a 128-page recoverable segment written
 // end to end through a 64-frame pool, so roughly half the segment is
 // evicted while still dirty. Reuses the Camelot bench scaffolding.
-AblationArm DirtySweep(bool clustering) {
+AblationArm DirtySweep(uint32_t cluster_max) {
   VmSystem::Config vm;
-  vm.pageout_clustering = clustering;
+  vm.pageout_cluster_max = cluster_max;
   BenchEnv env(64, vm);
   RecoverableSegment seg =
       RecoverableSegment::Map(env.rm.get(), env.task.get(), "sweep", 128 * kPage).value();
@@ -65,8 +68,7 @@ AblationArm DirtySweep(bool clustering) {
 void PrintArmJson(const TenantWorkloadOptions& opt, const TenantWorkloadResult& r) {
   double virtual_s = r.virtual_ns / 1e9;
   double throughput = virtual_s > 0 ? r.committed / virtual_s : 0.0;
-  std::printf("    {\"hosts\": %d, \"chaos\": %s, \"clustering\": %s,\n", opt.hosts,
-              opt.chaos ? "true" : "false", opt.pageout_clustering ? "true" : "false");
+  std::printf("    {\"hosts\": %d, \"chaos\": %s,\n", opt.hosts, opt.chaos ? "true" : "false");
   std::printf("     \"committed\": %llu, \"aborted\": %llu, \"error_aborts\": %llu,\n",
               (unsigned long long)r.committed, (unsigned long long)r.aborted,
               (unsigned long long)r.error_aborts);
@@ -94,17 +96,17 @@ void PrintArmJson(const TenantWorkloadOptions& opt, const TenantWorkloadResult& 
 int main() {
   std::fprintf(stderr, "E15: multi-tenant serving under pressure, chaos, and a host crash\n\n");
 
-  // Part 1: the clustering ablation in isolation (deterministic, no faults).
-  AblationArm on = DirtySweep(true);
-  AblationArm off = DirtySweep(false);
+  // Part 1: the clustering ablation in isolation (no faults).
+  AblationArm on = DirtySweep(16);
+  AblationArm off = DirtySweep(1);
   std::fprintf(stderr, "clustering ablation (128-page dirty sweep, 64 frames):\n");
-  std::fprintf(stderr, "  %-4s %9s %14s %14s\n", "mode", "pageouts", "data_writes", "pages/run");
-  std::fprintf(stderr, "  %-4s %9llu %14llu %14.2f\n", "on", (unsigned long long)on.pageouts,
+  std::fprintf(stderr, "  %-4s %9s %14s %14s\n", "cap", "pageouts", "data_writes", "pages/run");
+  std::fprintf(stderr, "  %-4s %9llu %14llu %14.2f\n", "16", (unsigned long long)on.pageouts,
                (unsigned long long)on.runs, on.pages_per_run);
-  std::fprintf(stderr, "  %-4s %9llu %14llu %14.2f\n\n", "off", (unsigned long long)off.pageouts,
+  std::fprintf(stderr, "  %-4s %9llu %14llu %14.2f\n\n", "1", (unsigned long long)off.pageouts,
                (unsigned long long)off.runs, off.pages_per_run);
 
-  // Part 2: the four workload arms.
+  // Part 2: the two workload arms.
   std::printf("{\n  \"benchmark\": \"tenant_serving\",\n");
   std::printf("  \"clustering_ablation\": {\n");
   std::printf("    \"on\":  {\"pageouts\": %llu, \"data_writes\": %llu, \"pages_per_run\": %.2f},\n",
@@ -113,36 +115,33 @@ int main() {
               (unsigned long long)off.pageouts, (unsigned long long)off.runs, off.pages_per_run);
   std::printf("  },\n  \"configs\": [\n");
 
-  std::fprintf(stderr, "%-6s %6s %5s %9s %9s %12s %10s %10s %10s %11s %9s\n", "hosts", "chaos",
-               "clust", "committed", "aborted", "txn/vsec", "p50(vus)", "p99(vus)", "p999(vus)",
+  std::fprintf(stderr, "%-6s %6s %9s %9s %12s %10s %10s %10s %11s %9s\n", "hosts", "chaos",
+               "committed", "aborted", "txn/vsec", "p50(vus)", "p99(vus)", "p999(vus)",
                "recover_ms", "heal_ms");
   bool first = true;
   for (bool chaos : {false, true}) {
-    for (bool clustering : {true, false}) {
-      TenantWorkloadOptions opt;
-      opt.hosts = chaos ? 4 : 1;
-      opt.tenants = 8;
-      opt.txns_per_tenant = 24;
-      opt.server_frames = 64;
-      opt.tenant_frames = 48;
-      opt.pageout_clustering = clustering;
-      opt.chaos = chaos;
-      opt.seed = 42;
-      TenantWorkloadResult r = RunTenantWorkload(opt);
-      if (!first) {
-        std::printf(",\n");
-      }
-      first = false;
-      PrintArmJson(opt, r);
-      std::fprintf(stderr, "%-6d %6s %5s %9llu %9llu %12.1f %10.1f %10.1f %10.1f %11.3f %9.3f\n",
-                   opt.hosts, chaos ? "yes" : "no", clustering ? "on" : "off",
-                   (unsigned long long)r.committed, (unsigned long long)r.aborted,
-                   r.virtual_ns ? r.committed * 1e9 / r.virtual_ns : 0.0,
-                   r.latency.P50() / 1e3, r.latency.P99() / 1e3, r.latency.P999() / 1e3,
-                   r.camelot_recover_ns / 1e6, r.heal_ns / 1e6);
-      if (!r.oracle_ok) {
-        std::fprintf(stderr, "  WARNING: exactly-once oracle failed for this arm\n");
-      }
+    TenantWorkloadOptions opt;
+    opt.hosts = chaos ? 4 : 1;
+    opt.tenants = 8;
+    opt.txns_per_tenant = 24;
+    opt.server_frames = 64;
+    opt.tenant_frames = 48;
+    opt.chaos = chaos;
+    opt.seed = 42;
+    TenantWorkloadResult r = RunTenantWorkload(opt);
+    if (!first) {
+      std::printf(",\n");
+    }
+    first = false;
+    PrintArmJson(opt, r);
+    std::fprintf(stderr, "%-6d %6s %9llu %9llu %12.1f %10.1f %10.1f %10.1f %11.3f %9.3f\n",
+                 opt.hosts, chaos ? "yes" : "no", (unsigned long long)r.committed,
+                 (unsigned long long)r.aborted,
+                 r.virtual_ns ? r.committed * 1e9 / r.virtual_ns : 0.0, r.latency.P50() / 1e3,
+                 r.latency.P99() / 1e3, r.latency.P999() / 1e3, r.camelot_recover_ns / 1e6,
+                 r.heal_ns / 1e6);
+    if (!r.oracle_ok) {
+      std::fprintf(stderr, "  WARNING: exactly-once oracle failed for this arm\n");
     }
   }
   std::printf("\n  ]\n}\n");

@@ -79,9 +79,12 @@ case "$mode" in
     "$0" tsan
     ;;
   bench)
-    # Machine-readable perf lane: every google-benchmark binary emits JSON
-    # into BENCH_<name>.json at the repo root, so perf changes land as
-    # reviewable diffs alongside the code that caused them.
+    # Machine-readable perf lane: every bench binary writes one JSON
+    # document on stdout into BENCH_<name>.json at the repo root, so perf
+    # changes land as reviewable diffs alongside the code that caused them.
+    # google-benchmark binaries honour the format flag; the plain sweep
+    # programs (int main()) ignore it and print their own JSON, with any
+    # human-readable table on stderr.
     cmake -B build -S .
     cmake --build build -j "$jobs"
     shift || true
@@ -92,15 +95,6 @@ case "$mode" in
         names="$names ${b##*/bench_}"
       done
     fi
-    # The multi-thread scaling bench and its single-thread ablation are one
-    # experiment: regenerating one without the other leaves the pair of
-    # JSON files describing different kernels.
-    case " $names " in
-      *" fault_mt "*) case " $names " in
-        *" fault_st "*) ;;
-        *) names="$names fault_st" ;;
-      esac ;;
-    esac
     for name in $names; do
       bin="build/bench/bench_${name}"
       if [ ! -x "$bin" ]; then
@@ -108,16 +102,10 @@ case "$mode" in
         exit 2
       fi
       echo "=== bench_${name} -> BENCH_${name}.json"
-      if [ "$name" = migration ] || [ "$name" = shm_coherence ] ||
-         [ "$name" = tenant_serving ]; then
-        # bench_migration, bench_shm_coherence, and bench_tenant_serving are
-        # plain sweep drivers that write their own JSON document to stdout
-        # (drop-rate x latency grid / centralised-vs-sharded ablation /
-        # multi-tenant serving arms with the pageout-clustering ablation;
-        # human table on stderr), not google-benchmark binaries.
-        "$bin" > "BENCH_${name}.json"
-      else
-        "$bin" --benchmark_format=json --benchmark_out_format=json > "BENCH_${name}.json"
+      "$bin" --benchmark_format=json > "BENCH_${name}.json"
+      if ! python3 -m json.tool "BENCH_${name}.json" > /dev/null; then
+        echo "ci.sh bench: bench_${name} did not print valid JSON" >&2
+        exit 1
       fi
     done
     ;;

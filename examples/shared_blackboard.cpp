@@ -13,7 +13,7 @@
 
 #include "src/kernel/kernel.h"
 #include "src/kernel/task.h"
-#include "src/managers/shm/shm_server.h"
+#include "src/managers/shm/shm_broker.h"
 #include "src/net/net_link.h"
 
 using namespace mach;
@@ -43,16 +43,21 @@ int main() {
   SimClock net_clock;
   NetLink link(&host_a->vm(), &host_b->vm(), &net_clock, kNormaLatency);
 
-  SharedMemoryServer blackboard_server(kPage);
+  // One shard: a single directory serves the whole blackboard.
+  ShmBroker blackboard_server("blackboard", 1, ShmOptions{});
   blackboard_server.Start();
-  SendRight board = blackboard_server.GetRegion("blackboard", kHypotheses * kSlot);
+  ShmRegionInfoArgs board = blackboard_server.GetRegion("blackboard", kHypotheses * kSlot);
 
   std::shared_ptr<Task> acoustic = host_a->CreateTask(nullptr, "acoustic-agent");
   std::shared_ptr<Task> semantic = host_b->CreateTask(nullptr, "semantic-agent");
-  VmOffset board_a = acoustic->VmAllocateWithPager(kHypotheses * kSlot, board, 0).value();
-  // The remote host reaches the same memory object through the network.
-  VmOffset board_b =
-      semantic->VmAllocateWithPager(kHypotheses * kSlot, link.ProxyForB(board), 0).value();
+  VmOffset board_a = ShmBroker::MapRegion(*acoustic, board).value();
+  // The remote host resolves the region through the network; the reply's
+  // memory object comes back as a link proxy of the same object.
+  ShmRegionInfoArgs remote_board =
+      ShmBroker::GetRegionVia(link.ProxyForB(blackboard_server.service_port()), "blackboard",
+                              kHypotheses * kSlot)
+          .value();
+  VmOffset board_b = ShmBroker::MapRegion(*semantic, remote_board).value();
 
   PortPair announce = PortAllocate("hypothesis-announcements");
   SendRight announce_on_b = announce.send;
@@ -115,12 +120,13 @@ int main() {
     }
   }
   std::printf("... %d hypotheses evaluated across two hosts\n", scored.load());
+  const ShmCounters coherence = blackboard_server.aggregate_counters();
   std::printf("coherence traffic: %llu reads granted, %llu writes granted, "
               "%llu invalidations, %llu recalls\n",
-              (unsigned long long)blackboard_server.read_grants(),
-              (unsigned long long)blackboard_server.write_grants(),
-              (unsigned long long)blackboard_server.invalidations(),
-              (unsigned long long)blackboard_server.recalls());
+              (unsigned long long)coherence.read_grants,
+              (unsigned long long)coherence.write_grants,
+              (unsigned long long)coherence.invalidations,
+              (unsigned long long)coherence.recalls);
   std::printf("network: %llu messages, %llu bytes, %.2f ms simulated wire time\n",
               (unsigned long long)link.messages_forwarded(),
               (unsigned long long)link.bytes_forwarded(), net_clock.NowNs() / 1e6);

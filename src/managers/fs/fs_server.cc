@@ -208,7 +208,7 @@ void FsServer::HandleWriteFile(Message& msg) {
       break;
     }
     const VmSize ps = kernel_->page_size();
-    std::lock_guard<std::mutex> g(fs_mu_);
+    std::unique_lock<std::mutex> g(fs_mu_);
     auto it = files_.find(name.value());
     if (it == files_.end()) {
       status = KernReturn::kNotFound;
@@ -245,10 +245,19 @@ void FsServer::HandleWriteFile(Message& msg) {
     if (IsOk(status)) {
       file->size = std::max(file->size, new_size);
       // Invalidate every kernel's cached pages so future reads see the new
-      // contents (pager_flush_request on each request port).
+      // contents (pager_flush_request on each request port), and reply only
+      // once each kernel has acknowledged with pager_lock_completed: until
+      // then a read that follows this write could still be served the old
+      // cached pages. A kernel that dies meanwhile is released by
+      // OnPortDeath; the timeout only bounds a lost acknowledgement.
       for (const SendRight& req : file->request_ports) {
-        FlushRequest(req, 0, RoundPage(std::max<VmSize>(file->size, 1), ps));
+        if (IsOk(FlushRequest(req, 0, RoundPage(std::max<VmSize>(file->size, 1), ps)))) {
+          flush_acks_pending_.insert(req.id());
+        }
       }
+      flush_acked_.wait_for(g, std::chrono::seconds(5),
+                            [&] { return flush_acks_pending_.empty(); });
+      flush_acks_pending_.clear();
       write_files_.fetch_add(1, std::memory_order_relaxed);
     }
     task_->VmDeallocate(in_addr.value(), ool.value().size);
@@ -431,9 +440,23 @@ void FsServer::OnDataWrite(uint64_t object_port_id, uint64_t cookie, PagerDataWr
   // never extend it.
 }
 
-void FsServer::OnPortDeath(uint64_t port_id) {
-  // A kernel released its mapping of some file; drop the dead request port.
+void FsServer::OnLockCompleted(uint64_t object_port_id, uint64_t cookie,
+                               PagerLockCompletedArgs args) {
   std::lock_guard<std::mutex> g(fs_mu_);
+  auto it = flush_acks_pending_.find(args.pager_request_port.id());
+  if (it != flush_acks_pending_.end()) {
+    flush_acks_pending_.erase(it);
+    flush_acked_.notify_all();
+  }
+}
+
+void FsServer::OnPortDeath(uint64_t port_id) {
+  // A kernel released its mapping of some file; drop the dead request port
+  // and stop waiting for its flush acknowledgement.
+  std::lock_guard<std::mutex> g(fs_mu_);
+  if (flush_acks_pending_.erase(port_id) != 0) {
+    flush_acked_.notify_all();
+  }
   for (auto& [name, file] : files_) {
     auto& ports = file.request_ports;
     for (auto it = ports.begin(); it != ports.end();) {

@@ -16,9 +16,11 @@
 #define SRC_MANAGERS_FS_FS_SERVER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,6 +68,8 @@ class FsServer : public DataManager {
   void OnInit(uint64_t object_port_id, uint64_t cookie, PagerInitArgs args) override;
   void OnDataRequest(uint64_t object_port_id, uint64_t cookie, PagerDataRequestArgs args) override;
   void OnDataWrite(uint64_t object_port_id, uint64_t cookie, PagerDataWriteArgs args) override;
+  void OnLockCompleted(uint64_t object_port_id, uint64_t cookie,
+                       PagerLockCompletedArgs args) override;
   void OnPortDeath(uint64_t port_id) override;
 
  private:
@@ -108,6 +112,11 @@ class FsServer : public DataManager {
   std::mutex fs_mu_;
   std::map<std::string, File> files_;
   uint64_t next_file_id_ = 1;
+  // Request port ids whose pager_lock_completed for an fs_write_file flush
+  // has not arrived yet; the write waits on flush_acked_ until it is empty.
+  // Guarded by fs_mu_.
+  std::multiset<uint64_t> flush_acks_pending_;
+  std::condition_variable flush_acked_;
 
   std::atomic<uint64_t> read_files_{0};
   std::atomic<uint64_t> write_files_{0};

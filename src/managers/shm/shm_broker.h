@@ -4,8 +4,9 @@
 // The broker owns N ShmShards and answers exactly one question — "give me
 // the named region" — returning the region's identity and one memory object
 // per shard (ShmRegionInfoArgs). After that it is out of the picture: all
-// coherence traffic flows kernel ↔ shard, so the broker can never become
-// the serialisation point the old centralised server was.
+// coherence traffic flows kernel ↔ shard, so the broker itself is never a
+// serialisation point. A 1-shard broker is the centralised manager of §4.2:
+// one directory serves every page through one memory object.
 //
 // Placement: local clients call GetRegion() directly. Remote hosts send
 // shm_get_region to a NetLink proxy of service_port() (GetRegionVia); the

@@ -5,8 +5,8 @@
 // One directory instance serves the subset of a region's pages that hash to
 // its shard. It is deliberately *not* a DataManager — ShmShard adapts the
 // external-pager upcalls onto it — so the protocol can be unit-driven and so
-// the centralised SharedMemoryServer and every shard of a ShmBroker run the
-// byte-identical state machine (the property-test oracle depends on that).
+// a 1-shard (centralised) and an N-shard ShmBroker run the byte-identical
+// state machine (the property-test oracle depends on that).
 //
 // Per page (single writer / multiple readers, with dynamic ownership):
 //   * The *owner* is the last kernel granted write access; its request port

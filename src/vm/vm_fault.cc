@@ -113,7 +113,7 @@ KernReturn VmSystem::PrepareEntry(TaskVm& task, VmOffset addr, VmProt access) {
 // --- adaptive fault-ahead ---------------------------------------------------
 
 uint32_t VmSystem::ComputeFaultAheadWindow(MapEntry* holder, VmOffset object_offset) {
-  if (!config_.fault_ahead || config_.fault_ahead_max <= 1) {
+  if (config_.fault_ahead_max <= 1) {
     return 1;
   }
   const VmSize ps = page_size();
@@ -466,7 +466,7 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
         // an internal object never pushed to the default pager, or a frame
         // shortage — speculation never dips into the reserve.
         std::vector<VmPage*> extras;
-        if (fa_window > 1 && object == first_object && config_.fault_ahead) {
+        if (fa_window > 1 && object == first_object) {
           for (uint32_t i = 1; i < fa_window; ++i) {
             VmOffset eoff = offset + VmOffset{i} * page_size();
             if (eoff >= object->size() ||
@@ -762,7 +762,7 @@ KernReturn VmSystem::Fault(TaskVm& task, VmOffset addr, VmProt access) {
   // Tier 0: the lock-free resolution. Touches no map lock at all — two
   // locks total (object + pmap, plus the page-hash shard) for the common
   // resident re-fault.
-  if (config_.optimistic_map_lookup && TryOptimisticFault(task, page_addr, access)) {
+  if (TryOptimisticFault(task, page_addr, access)) {
     return KernReturn::kSuccess;
   }
   for (int attempt = 0; attempt < 64; ++attempt) {
@@ -776,7 +776,7 @@ KernReturn VmSystem::Fault(TaskVm& task, VmOffset addr, VmProt access) {
       // Refresh the published snapshot while we are here anyway: under the
       // shared lock the generation is stable (mutators take it exclusive),
       // so concurrent publishers race benignly toward identical snapshots.
-      if (config_.optimistic_map_lookup && !task.map->snapshot_current()) {
+      if (!task.map->snapshot_current()) {
         task.map->PublishSnapshot();
       }
       Result<EntryRef> re = LookupEntry(task, page_addr, access);

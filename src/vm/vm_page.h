@@ -122,7 +122,7 @@ struct VmStatistics {
                                        // awaited page still in transit.
   uint64_t collapse_denied_scan_cap = 0;  // Collapse bypasses declined only
                                           // because the coverage metadata
-                                          // exceeded Config::collapse_scan_cap
+                                          // exceeded kCollapseScanCap
                                           // (also counted in collapse_denied).
   uint64_t collapse_denied_external = 0;  // Splices declined because the
                                           // shadow is an external manager's

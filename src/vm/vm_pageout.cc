@@ -5,10 +5,10 @@
 // active queue through the inactive queue (second-chance on the hardware
 // reference bit) and writing dirty victims back to their data managers with
 // pager_data_write. A dirty victim is clustered with its object's
-// contiguous dirty neighbours so one message carries the whole run
-// (Config::pageout_clustering; runs split at non-contiguous, clean, busy or
-// pinned pages). All sends on this path are non-blocking: a manager that
-// cannot accept its dirty data promptly has the data *parked* with the
+// contiguous dirty neighbours so one message carries the whole run (up to
+// Config::pageout_cluster_max pages; runs split at non-contiguous, clean,
+// busy or pinned pages). All sends on this path are non-blocking: a manager
+// that cannot accept its dirty data promptly has the data *parked* with the
 // trusted default pager instead (§6.2.2), so an errant manager can never
 // wedge the kernel's memory pool.
 //
@@ -260,7 +260,7 @@ uint32_t VmSystem::PageoutPageLocked(ObjectLock& olk, const std::shared_ptr<VmOb
 
 std::vector<VmPage*> VmSystem::CollectPageoutClusterLocked(VmObject* object, VmPage* seed) {
   std::vector<VmPage*> run{seed};
-  if (!config_.pageout_clustering || config_.pageout_cluster_max <= 1) {
+  if (config_.pageout_cluster_max <= 1) {
     return run;
   }
   const VmSize ps = page_size();
@@ -308,22 +308,32 @@ std::vector<VmPage*> VmSystem::CollectPageoutClusterLocked(VmObject* object, VmP
   return run;
 }
 
-std::vector<std::vector<VmPage*>> VmSystem::BuildPageoutRuns(
-    std::vector<VmPage*> dirty_sorted) const {
-  const VmSize ps = page_size();
-  const size_t cap = (config_.pageout_clustering && config_.pageout_cluster_max > 0)
-                         ? config_.pageout_cluster_max
-                         : 1;
-  std::vector<std::vector<VmPage*>> runs;
-  for (VmPage* p : dirty_sorted) {
-    if (!runs.empty() && runs.back().size() < cap &&
-        runs.back().back()->offset + ps == p->offset) {
-      runs.back().push_back(p);
-    } else {
-      runs.push_back({p});
-    }
+void VmSystem::WriteBackDirtyLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
+                                    std::vector<VmPage*> dirty, bool park_on_failure) {
+  if (dirty.empty() || !object->pager.valid()) {
+    return;
   }
-  return runs;
+  std::sort(dirty.begin(), dirty.end(),
+            [](const VmPage* a, const VmPage* b) { return a->offset < b->offset; });
+  const VmSize ps = page_size();
+  std::vector<VmPage*> run;
+  auto write_run = [&] {
+    if (WritePageoutRun(olk, object, run, park_on_failure) == RunWriteResult::kWritten) {
+      for (VmPage* page : run) {
+        page->dirty = false;
+        phys_->ClearModify(page->frame);
+      }
+    }
+    run.clear();
+  };
+  for (VmPage* page : dirty) {
+    if (!run.empty() && (run.size() >= config_.pageout_cluster_max ||
+                         run.back()->offset + ps != page->offset)) {
+      write_run();
+    }
+    run.push_back(page);
+  }
+  write_run();
 }
 
 VmSystem::RunWriteResult VmSystem::WritePageoutRun(ObjectLock& olk,
@@ -584,15 +594,9 @@ void VmSystem::HandleFlush(const std::shared_ptr<VmObject>& object, VmOffset off
       dirty.push_back(page);
     }
   }
-  std::sort(dirty.begin(), dirty.end(),
-            [](const VmPage* a, const VmPage* b) { return a->offset < b->offset; });
-  if (object->pager.valid()) {
-    for (const std::vector<VmPage*>& run : BuildPageoutRuns(std::move(dirty))) {
-      // kFailed (unprotected mode) leaves the run unwritten; the victims
-      // are discarded below either way, exactly as the per-page path did.
-      WritePageoutRun(olk, object, run, /*park_on_failure=*/true);
-    }
-  }
+  // A run refused in unprotected mode stays unwritten; the victims are
+  // discarded below either way.
+  WriteBackDirtyLocked(olk, object, std::move(dirty), /*park_on_failure=*/true);
   for (VmPage* page : victims) {
     PageFreeLocked(olk, page);
   }
@@ -626,20 +630,8 @@ void VmSystem::HandleClean(const std::shared_ptr<VmObject>& object, VmOffset off
       dirty.push_back(page);
     }
   }
-  std::sort(dirty.begin(), dirty.end(),
-            [](const VmPage* a, const VmPage* b) { return a->offset < b->offset; });
-  if (object->pager.valid()) {
-    for (const std::vector<VmPage*>& run : BuildPageoutRuns(std::move(dirty))) {
-      if (WritePageoutRun(olk, object, run, /*park_on_failure=*/false) ==
-          RunWriteResult::kWritten) {
-        for (VmPage* page : run) {
-          page->dirty = false;
-          phys_->ClearModify(page->frame);
-        }
-      }
-      // On failure the run's pages simply stay dirty; pageout retries later.
-    }
-  }
+  // A refused run's pages simply stay dirty; pageout retries later.
+  WriteBackDirtyLocked(olk, object, std::move(dirty), /*park_on_failure=*/false);
   if (object->pager.valid()) {
     MsgSend(object->pager,
             EncodePagerLockCompleted(PagerLockCompletedArgs{object->request_send, offset, length}),

@@ -396,7 +396,23 @@ void VmSystem::TerminateObject(ChainLock& chain, const std::shared_ptr<VmObject>
     object->cached = false;
     // "When no references to a memory object remain, and all modifications
     // have been written back to the memory object, the kernel deallocates
-    // its rights" (§3.4.1): push dirty pages to the data manager first.
+    // its rights" (§3.4.1): push dirty pages to the data manager first, in
+    // the same clustered runs as pageout. A run the manager refuses is
+    // lost, not parked: parked data of a terminated object is unreachable
+    // and discarded below. Pagerless objects have nowhere to write.
+    if (object->pager.valid() && !object->pager.IsDead()) {
+      std::vector<VmPage*> dirty;
+      for (VmPage* page : object->pages) {
+        if (page->busy || page->pin_count > 0) {
+          continue;
+        }
+        Pmap::PageProtect(phys_, page->frame, kVmProtNone);
+        if (page->dirty || phys_->IsModified(page->frame)) {
+          dirty.push_back(page);
+        }
+      }
+      WriteBackDirtyLocked(olk, object, std::move(dirty), /*park_on_failure=*/false);
+    }
     // Busy or pinned pages are orphaned — removed from the queues and left
     // resident; the in-transit owner or last unpinner frees them on seeing
     // !alive.
@@ -404,21 +420,6 @@ void VmSystem::TerminateObject(ChainLock& chain, const std::shared_ptr<VmObject>
       if (page->busy || page->pin_count > 0) {
         PageRemoveFromQueue(page);
         return;
-      }
-      if (object->pager.valid() && !object->pager.IsDead()) {
-        Pmap::PageProtect(phys_, page->frame, kVmProtNone);
-        if (page->dirty || phys_->IsModified(page->frame)) {
-          PagerDataWriteArgs args;
-          args.offset = page->offset;
-          args.data.resize(page_size());
-          phys_->ReadFrame(page->frame, 0, args.data.data(), page_size());
-          if (IsOk(MsgSend(object->pager, EncodePagerDataWrite(args), kPoll))) {
-            counters_.pageouts.fetch_add(1, std::memory_order_relaxed);
-          } else if (config_.errant_manager_protection && parking_ != nullptr) {
-            parking_->Park(object->id(), page->offset, std::move(args.data));
-            counters_.parked_pageouts.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
       }
       PageFreeLocked(olk, page);
     });
@@ -493,6 +494,12 @@ void VmSystem::WriteProtectResident(VmObject* object, VmOffset offset, VmSize si
 // --- shadow-chain collapse (Mach's vm_object_collapse / bypass) -------------
 
 namespace {
+// Upper bound on the number of coverage-metadata entries (resident pages +
+// paged_offsets + parked_offsets) a chain-bypass check will examine.
+// Bypasses declined by the cap are counted in both collapse_denied and
+// collapse_denied_scan_cap.
+constexpr size_t kCollapseScanCap = size_t{1} << 20;
+
 // Pages in transit (pagein, pageout, pending unlock, death-resolution) or
 // pinned by an installing fault make residency unstable: another thread
 // holds raw pointers into this object across a lock drop. Collapse must not
@@ -533,7 +540,7 @@ VmSystem::Coverage VmSystem::FullyCoversSelf(const VmObject* object) const {
   // metadata walk for degenerate objects.
   const size_t metadata = size_t{object->resident_count} + object->paged_offsets.size() +
                           object->parked_offsets.size();
-  if (metadata > config_.collapse_scan_cap) {
+  if (metadata > kCollapseScanCap) {
     return Coverage::kCapExceeded;
   }
   // A pager may have provided unsolicited pages beyond size(); count
@@ -560,9 +567,6 @@ VmSystem::Coverage VmSystem::FullyCoversSelf(const VmObject* object) const {
 }
 
 void VmSystem::MaybeCollapse(const std::shared_ptr<VmObject>& object) {
-  if (!config_.shadow_collapse) {
-    return;
-  }
   bool opportunity = false;
   {
     lock_probe::Note();
@@ -582,9 +586,6 @@ void VmSystem::MaybeCollapse(const std::shared_ptr<VmObject>& object) {
 }
 
 void VmSystem::TryCollapse(ChainLock& chain, const std::shared_ptr<VmObject>& object) {
-  if (!config_.shadow_collapse) {
-    return;
-  }
   // Splice loop: absorb immediate shadows whose only reference is our
   // shadow pointer. Page migration is hash-table surgery on frames that
   // stay put — no copies and no blocking — under the child and parent

@@ -26,8 +26,7 @@
 //      immutable snapshot guarded by a seqlock-style generation counter, so
 //      the resident-fault fast path resolves its entry with no map lock at
 //      all and validates the generation inside the pmap lock at install
-//      time (see address_map.h for the protocol; gated by
-//      Config::optimistic_map_lookup).
+//      time (see address_map.h for the protocol).
 //   2. chain_mu_: shadow-chain structure (shadow pointers, shadow_children),
 //      object lifecycle (terminate / cache / registries) and map_refs
 //      decrements. Witness type: ChainLock.
@@ -124,53 +123,26 @@ class VmSystem {
     // Background daemon scan interval.
     std::chrono::milliseconds pageout_interval{25};
 
-    // Shadow-chain collapse (Mach's vm_object_collapse). When an
-    // intermediate shadow object's only reference is the single child
-    // shadowing it, the child absorbs its pages and splices it out of the
-    // chain. Off = chains grow without bound (the pre-collapse behaviour,
-    // kept for the ablation bench).
-    bool shadow_collapse = true;
-
-    // Upper bound on the number of coverage-metadata entries (resident
-    // pages + paged_offsets + parked_offsets) a chain-bypass check will
-    // examine. Bypasses declined by the cap are counted in both
-    // collapse_denied and collapse_denied_scan_cap.
-    size_t collapse_scan_cap = 1u << 20;
-
-    // Lock-free (seqlock snapshot) address-map lookup on the fault path.
-    // Off = every fault resolves its entry under the map's shared lock (the
-    // lock-hierarchy-only behaviour, kept for the ablation bench). The
-    // queue-tag fast-out and batched queue operations are unconditional;
-    // only the map tier is gated.
-    bool optimistic_map_lookup = true;
-
-    // Clustered dirty pageout: when a dirty victim is written back, the
-    // daemon gathers the object's contiguous dirty neighbours into one run
-    // and sends a single multi-page pager_data_write instead of one message
-    // per page. Runs split at non-contiguous, clean, busy or pinned pages.
-    // Off = page-at-a-time write-back (the pre-clustering behaviour, kept
-    // for the ablation bench).
-    bool pageout_clustering = true;
-
-    // Upper bound on pages per clustered write-back run.
+    // Upper bound on pages per clustered write-back run: a dirty victim is
+    // written back together with its object's contiguous dirty neighbours
+    // in one multi-page pager_data_write (runs split at non-contiguous,
+    // clean, busy or pinned pages). 1 = page-at-a-time write-back.
     uint32_t pageout_cluster_max = 16;
 
-    // Adaptive fault-ahead: when a cache miss detects a sequential streak
-    // (per-map-entry detector, see FaultAheadState), the fault allocates
-    // busy+absent placeholders for a contiguous run of absent neighbours
-    // and sends one multi-page pager_data_request covering the run. The
-    // window scales 1→2→4→…→fault_ahead_max across consecutive sequential
-    // misses and collapses to 1 on random access. Off = one request per
-    // page (the pre-batching behaviour, kept for the ablation bench).
-    bool fault_ahead = true;
-
-    // Upper bound on pages per fault-ahead run; clamped to the wire cap
-    // kPagerMaxRunPages at construction.
+    // Upper bound on pages per adaptive fault-ahead run: when a cache miss
+    // detects a sequential streak (per-map-entry detector, see
+    // FaultAheadState), the fault allocates busy+absent placeholders for a
+    // contiguous run of absent neighbours and sends one multi-page
+    // pager_data_request covering the run. The window scales
+    // 1→2→4→…→fault_ahead_max across consecutive sequential misses and
+    // collapses to 1 on random access. 1 = one request per page. Clamped to
+    // the wire cap kPagerMaxRunPages at construction.
     uint32_t fault_ahead_max = 16;
 
-    // Optional fault injection: the kFaultCollapse point randomly
-    // suppresses collapse opportunities so chaos soaks cover both collapsed
-    // and uncollapsed chains. Not owned.
+    // Optional fault injection: the kFaultCollapse point suppresses
+    // collapse opportunities so chaos soaks cover both collapsed and
+    // uncollapsed chains (probability 1 = chains grow without bound). Not
+    // owned.
     FaultInjector* fault_injector = nullptr;
   };
 
@@ -497,12 +469,13 @@ class VmSystem {
   // `object_offset` (the page was not resident) and returns the fault-ahead
   // window to use, >= 1. Caller holds the holder's map lock (shared is
   // fine; the detector word is atomic and advisory). Returns 1 whenever
-  // fault-ahead is disabled.
+  // Config::fault_ahead_max is 1.
   uint32_t ComputeFaultAheadWindow(MapEntry* holder, VmOffset object_offset);
 
-  // The lock-free fault fast path (Config::optimistic_map_lookup): resolves
-  // `page_addr` against the map's published snapshot and installs the
-  // translation with the generation validated inside the pmap lock. Handles
+  // The lock-free fault fast path (tier 0, tried before every locked
+  // resolution): resolves `page_addr` against the map's published snapshot
+  // and installs the translation with the generation validated inside the
+  // pmap lock. Handles
   // only the exact analogue of the in-lock fast path — a settled page
   // resident in the entry's own object with sufficient protection; returns
   // false (fall back to the locked path) for everything else, including
@@ -586,7 +559,8 @@ class VmSystem {
 
   // Whether `object` covers every page of [0, size()) by itself, derived
   // from residency and pager metadata (never an O(size) offset scan).
-  // kCapExceeded = the metadata was larger than Config::collapse_scan_cap.
+  // kCapExceeded = the metadata was larger than kCollapseScanCap
+  // (vm_system.cc).
   enum class Coverage { kFull, kPartial, kCapExceeded };
   Coverage FullyCoversSelf(const VmObject* object) const;
 
@@ -598,9 +572,9 @@ class VmSystem {
   // held on entry.
   uint32_t ReclaimPass(uint32_t want);
   // Writes one unqueued, settled page back to its manager (or parks it),
-  // clustering the object's contiguous dirty neighbours into the same
-  // pager_data_write run when Config::pageout_clustering is on. Caller
-  // holds the owner's mu; returns the number of frames freed.
+  // clustering the object's contiguous dirty neighbours (up to
+  // Config::pageout_cluster_max pages) into the same pager_data_write run.
+  // Caller holds the owner's mu; returns the number of frames freed.
   uint32_t PageoutPageLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
                              VmPage* page);
   // Grows a write-back run around `seed` with the object's contiguous dirty
@@ -608,15 +582,19 @@ class VmSystem {
   // result is sorted by offset, contains `seed`, and every member is
   // settled: !busy, pin_count == 0, dirty. Caller holds the owner's mu.
   std::vector<VmPage*> CollectPageoutClusterLocked(VmObject* object, VmPage* seed);
-  // Splits sorted settled dirty pages of one object into contiguous runs of
-  // at most Config::pageout_cluster_max pages (always single-page runs when
-  // clustering is off).
-  std::vector<std::vector<VmPage*>> BuildPageoutRuns(std::vector<VmPage*> dirty_sorted) const;
+  // Writes `dirty` (settled dirty pages of `object`, in any order) back to
+  // the object's pager, sorted by offset, in contiguous runs of at most
+  // Config::pageout_cluster_max pages. Pages of a written run are marked
+  // clean; a refused run is parked (§6.2.2) when `park_on_failure` and
+  // otherwise stays dirty. No-op without a pager. The one write-back path
+  // of flush, clean and object termination. Caller holds the owner's mu.
+  void WriteBackDirtyLocked(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
+                            std::vector<VmPage*> dirty, bool park_on_failure);
   // Sends one pager_data_write covering `run` (contiguous, same object).
   // kWritten: accepted, paged_offsets updated. kParked: the manager did not
   // take the message and every page's data went to the §6.2.2 parking
-  // store. kFailed: not written and not parked (unprotected mode); the
-  // pages stay dirty. Caller holds the owner's mu.
+  // store. kFailed: not written and not parked (`park_on_failure` false,
+  // or unprotected mode); the pages stay dirty. Caller holds the owner's mu.
   enum class RunWriteResult { kWritten, kParked, kFailed };
   RunWriteResult WritePageoutRun(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
                                  const std::vector<VmPage*>& run, bool park_on_failure);

@@ -16,7 +16,7 @@
 #include "src/managers/fs/fs_server.h"
 #include "src/managers/mfs/mapped_file.h"
 #include "src/managers/migrate/migration_manager.h"
-#include "src/managers/shm/shm_server.h"
+#include "src/managers/shm/shm_broker.h"
 #include "src/net/net_link.h"
 
 namespace mach {
@@ -40,14 +40,14 @@ TEST(IntegrationTest, AgoraStyleBlackboard) {
   // hypotheses into shared memory and announce them with messages.
   auto host_a = MakeHost("speech-a");
   auto host_b = MakeHost("speech-b");
-  SharedMemoryServer shm(kPage);
+  ShmBroker shm("shm", 1, ShmOptions{});
   shm.Start();
 
   std::shared_ptr<Task> agent_a = host_a->CreateTask(nullptr, "acoustic");
   std::shared_ptr<Task> agent_b = host_b->CreateTask(nullptr, "semantic");
-  SendRight board = shm.GetRegion("blackboard", 4 * kPage);
-  VmOffset a = agent_a->VmAllocateWithPager(4 * kPage, board, 0).value();
-  VmOffset b = agent_b->VmAllocateWithPager(4 * kPage, board, 0).value();
+  ShmRegionInfoArgs board = shm.GetRegion("blackboard", 4 * kPage);
+  VmOffset a = ShmBroker::MapRegion(*agent_a, board).value();
+  VmOffset b = ShmBroker::MapRegion(*agent_b, board).value();
 
   PortPair announce = PortAllocate("announce");
 

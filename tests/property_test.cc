@@ -11,6 +11,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/base/fault_injector.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/task.h"
 #include "src/pager/data_manager.h"
@@ -415,14 +416,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CollapseWorkloadTest,
 
 // The bench workload's shape as a correctness check: a deep chain of dying
 // parents must collapse to O(1) length while preserving every generation's
-// final view, and disabling the flag must reproduce the deep chain (ablation).
+// final view, and declining every collapse through the vm.collapse fault
+// point must reproduce the deep chain (ablation).
 TEST(CollapseChainTest, DeepChainOfDeadParentsCollapsesToConstantDepth) {
   for (bool collapse : {false, true}) {
+    FaultInjector no_collapse;
+    no_collapse.SetProbability(VmSystem::kFaultCollapse, 1.0);
     Kernel::Config config;
     config.frames = 2048;
     config.page_size = 4096;
     config.disk_latency = DiskLatencyModel{0, 0};
-    config.vm.shadow_collapse = collapse;
+    config.fault_injector = collapse ? nullptr : &no_collapse;
     Kernel kernel(config);
     constexpr int kDepth = 16;
     constexpr VmOffset kPages = 8;

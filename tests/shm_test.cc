@@ -15,7 +15,6 @@
 #include "src/kernel/kernel.h"
 #include "src/kernel/task.h"
 #include "src/managers/shm/shm_broker.h"
-#include "src/managers/shm/shm_server.h"
 #include "src/net/net_link.h"
 
 namespace mach {
@@ -48,12 +47,14 @@ bool EventuallySees(Task& task, VmOffset addr, uint32_t expect,
   return false;
 }
 
+// The centralised arm: a 1-shard broker, so every page of a region is served
+// by one directory through one memory object.
 class ShmTest : public ::testing::Test {
  protected:
   ShmTest() {
     host_a_ = MakeHost("host-a");
     host_b_ = MakeHost("host-b");
-    server_ = std::make_unique<SharedMemoryServer>(kPage);
+    server_ = std::make_unique<ShmBroker>("shm", 1, ShmOptions{});
     server_->Start();
     task_a_ = host_a_->CreateTask(nullptr, "client-a");
     task_b_ = host_b_->CreateTask(nullptr, "client-b");
@@ -66,29 +67,36 @@ class ShmTest : public ::testing::Test {
 
   std::unique_ptr<Kernel> host_a_;
   std::unique_ptr<Kernel> host_b_;
-  std::unique_ptr<SharedMemoryServer> server_;
+  // The region's single memory object (§4.2: the same object X for every
+  // client).
+  SendRight GetRegion(const std::string& name, VmSize size) {
+    return server_->GetRegion(name, size).shard_objects.front();
+  }
+  ShmCounters counters() const { return server_->aggregate_counters(); }
+
+  std::unique_ptr<ShmBroker> server_;
   std::shared_ptr<Task> task_a_;
   std::shared_ptr<Task> task_b_;
 };
 
 TEST_F(ShmTest, SameObjectReturnedForSameName) {
-  SendRight x1 = server_->GetRegion("r", 4 * kPage);
-  SendRight x2 = server_->GetRegion("r", 4 * kPage);
+  SendRight x1 = GetRegion("r", 4 * kPage);
+  SendRight x2 = GetRegion("r", 4 * kPage);
   EXPECT_EQ(x1.id(), x2.id());
-  EXPECT_NE(server_->GetRegion("other", kPage).id(), x1.id());
+  EXPECT_NE(GetRegion("other", kPage).id(), x1.id());
 }
 
 TEST_F(ShmTest, InitialContentsAreZero) {
-  SendRight region = server_->GetRegion("zeros", 2 * kPage);
+  SendRight region = GetRegion("zeros", 2 * kPage);
   VmOffset addr = task_a_->VmAllocateWithPager(2 * kPage, region, 0).value();
   uint64_t v = 0xFF;
   ASSERT_EQ(task_a_->Read(addr, &v, sizeof(v)), KernReturn::kSuccess);
   EXPECT_EQ(v, 0u);
-  EXPECT_GE(server_->read_grants(), 1u);
+  EXPECT_GE(counters().read_grants, 1u);
 }
 
 TEST_F(ShmTest, WriteVisibleAcrossHosts) {
-  SendRight region = server_->GetRegion("xhost", kPage);
+  SendRight region = GetRegion("xhost", kPage);
   VmOffset a = task_a_->VmAllocateWithPager(kPage, region, 0).value();
   VmOffset b = task_b_->VmAllocateWithPager(kPage, region, 0).value();
   uint32_t v = 0x1234;
@@ -99,7 +107,7 @@ TEST_F(ShmTest, WriteVisibleAcrossHosts) {
 TEST_F(ShmTest, PingPongWrites) {
   // Ownership of the page migrates back and forth (§4.2's final frame,
   // repeatedly).
-  SendRight region = server_->GetRegion("pingpong", kPage);
+  SendRight region = GetRegion("pingpong", kPage);
   VmOffset a = task_a_->VmAllocateWithPager(kPage, region, 0).value();
   VmOffset b = task_b_->VmAllocateWithPager(kPage, region, 0).value();
   for (uint32_t round = 1; round <= 10; ++round) {
@@ -110,12 +118,12 @@ TEST_F(ShmTest, PingPongWrites) {
     ASSERT_EQ(task_b_->Write(b, &vb, sizeof(vb)), KernReturn::kSuccess);
     ASSERT_TRUE(EventuallySees(*task_a_, a, vb)) << "round " << round;
   }
-  EXPECT_GT(server_->invalidations() + server_->recalls(), 0u);
+  EXPECT_GT(counters().invalidations + counters().recalls, 0u);
 }
 
 TEST_F(ShmTest, ConcurrentReadersNoInvalidation) {
   // Multiple readers of a stable page coexist without coherence traffic.
-  SendRight region = server_->GetRegion("readers", kPage);
+  SendRight region = GetRegion("readers", kPage);
   VmOffset a = task_a_->VmAllocateWithPager(kPage, region, 0).value();
   VmOffset b = task_b_->VmAllocateWithPager(kPage, region, 0).value();
   uint32_t seed = 77;
@@ -123,7 +131,7 @@ TEST_F(ShmTest, ConcurrentReadersNoInvalidation) {
   ASSERT_TRUE(EventuallySees(*task_b_, b, 77));
   // Settle, then read from both sides repeatedly.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  uint64_t inval_before = server_->invalidations();
+  uint64_t inval_before = counters().invalidations;
   for (int i = 0; i < 20; ++i) {
     uint32_t va = 0, vb = 0;
     ASSERT_EQ(task_a_->Read(a, &va, sizeof(va)), KernReturn::kSuccess);
@@ -131,13 +139,13 @@ TEST_F(ShmTest, ConcurrentReadersNoInvalidation) {
     EXPECT_EQ(va, 77u);
     EXPECT_EQ(vb, 77u);
   }
-  EXPECT_EQ(server_->invalidations(), inval_before);
+  EXPECT_EQ(counters().invalidations, inval_before);
 }
 
 TEST_F(ShmTest, DistinctPagesHaveIndependentOwnership) {
   // Writers on different pages do not interfere (no false sharing at page
   // granularity).
-  SendRight region = server_->GetRegion("pages", 2 * kPage);
+  SendRight region = GetRegion("pages", 2 * kPage);
   VmOffset a = task_a_->VmAllocateWithPager(2 * kPage, region, 0).value();
   VmOffset b = task_b_->VmAllocateWithPager(2 * kPage, region, 0).value();
   uint32_t va = 100, vb = 200;
@@ -150,7 +158,7 @@ TEST_F(ShmTest, DistinctPagesHaveIndependentOwnership) {
 TEST_F(ShmTest, ThreeHosts) {
   auto host_c = MakeHost("host-c");
   std::shared_ptr<Task> task_c = host_c->CreateTask(nullptr, "client-c");
-  SendRight region = server_->GetRegion("trio", kPage);
+  SendRight region = GetRegion("trio", kPage);
   VmOffset a = task_a_->VmAllocateWithPager(kPage, region, 0).value();
   VmOffset b = task_b_->VmAllocateWithPager(kPage, region, 0).value();
   VmOffset c = task_c->VmAllocateWithPager(kPage, region, 0).value();
@@ -167,7 +175,7 @@ TEST_F(ShmTest, ThreeHosts) {
 TEST_F(ShmTest, SequentialConsistencyUnderContention) {
   // Property: a monotonically increasing counter written under ping-pong
   // ownership never goes backwards from either host's view.
-  SendRight region = server_->GetRegion("mono", kPage);
+  SendRight region = GetRegion("mono", kPage);
   VmOffset a = task_a_->VmAllocateWithPager(kPage, region, 0).value();
   VmOffset b = task_b_->VmAllocateWithPager(kPage, region, 0).value();
   uint32_t zero = 0;
@@ -204,7 +212,7 @@ TEST_F(ShmOverNetTest, CoherenceThroughNormaLink) {
   // NORMA-latency proxy. All pager traffic for B crosses the link.
   SimClock net_clock;
   NetLink link(&host_a_->vm(), &host_b_->vm(), &net_clock, kNormaLatency);
-  SendRight region = server_->GetRegion("remote", kPage);
+  SendRight region = GetRegion("remote", kPage);
   VmOffset a = task_a_->VmAllocateWithPager(kPage, region, 0).value();
   SendRight remote_region = link.ProxyForB(region);
   VmOffset b = task_b_->VmAllocateWithPager(kPage, remote_region, 0).value();
@@ -229,7 +237,7 @@ TEST_F(ShmOverNetTest, LocalityKeepsTrafficLow) {
   // first fetch generate no link traffic.
   SimClock net_clock;
   NetLink link(&host_a_->vm(), &host_b_->vm(), &net_clock, kNormaLatency);
-  SendRight region = server_->GetRegion("locality", kPage);
+  SendRight region = GetRegion("locality", kPage);
   SendRight remote_region = link.ProxyForB(region);
   VmOffset b = task_b_->VmAllocateWithPager(kPage, remote_region, 0).value();
   uint32_t v = 0;

@@ -578,12 +578,11 @@ TEST_F(PageoutTest, StatisticsShowPagingActivity) {
 
 class ShadowCollapseTest : public ::testing::Test {
  protected:
-  std::unique_ptr<Kernel> MakeKernel(bool collapse, FaultInjector* inj = nullptr) {
+  std::unique_ptr<Kernel> MakeKernel(FaultInjector* inj = nullptr) {
     Kernel::Config config;
     config.frames = 512;
     config.page_size = kPage;
     config.disk_latency = DiskLatencyModel{0, 0};
-    config.vm.shadow_collapse = collapse;
     config.fault_injector = inj;
     return std::make_unique<Kernel>(config);
   }
@@ -607,7 +606,7 @@ class ShadowCollapseTest : public ::testing::Test {
 };
 
 TEST_F(ShadowCollapseTest, DeadParentPagesMigrateIntoSurvivingChild) {
-  auto kernel = MakeKernel(true);
+  auto kernel = MakeKernel();
   VmOffset base = 0;
   auto gen0 = kernel->CreateTask(nullptr, "gen0");
   base = gen0->VmAllocate(2 * kPage).value();
@@ -628,7 +627,7 @@ TEST_F(ShadowCollapseTest, DeadParentPagesMigrateIntoSurvivingChild) {
 }
 
 TEST_F(ShadowCollapseTest, FullyCoveringShadowBypassesItsChainEvenWhileParentLives) {
-  auto kernel = MakeKernel(true);
+  auto kernel = MakeKernel();
   auto parent = kernel->CreateTask(nullptr, "parent");
   VmOffset base = parent->VmAllocate(2 * kPage).value();
   ASSERT_EQ(parent->WriteValue<uint64_t>(base, 1), KernReturn::kSuccess);
@@ -649,21 +648,10 @@ TEST_F(ShadowCollapseTest, FullyCoveringShadowBypassesItsChainEvenWhileParentLiv
   EXPECT_EQ(child->ReadValue<uint64_t>(base + kPage).value(), 20u);
 }
 
-TEST_F(ShadowCollapseTest, DisablingTheFlagPreservesDeepChains) {
-  auto kernel = MakeKernel(false);
-  VmOffset base = 0;
-  auto survivor = BuildDyingChain(*kernel, 8, &base);
-  VmStatistics st = kernel->vm().Statistics();
-  EXPECT_EQ(st.shadow_collapses, 0u);
-  EXPECT_EQ(st.shadow_bypasses, 0u);
-  EXPECT_GE(kernel->vm().ShadowChainLength(survivor->vm_context(), base), 8u);
-  EXPECT_EQ(survivor->ReadValue<uint64_t>(base).value(), 1u);
-}
-
 TEST_F(ShadowCollapseTest, InjectedCollapseFaultDeniesSafely) {
   FaultInjector inj(42);
   inj.SetProbability(VmSystem::kFaultCollapse, 1.0);
-  auto kernel = MakeKernel(true, &inj);
+  auto kernel = MakeKernel(&inj);
   VmOffset base = 0;
   auto survivor = BuildDyingChain(*kernel, 8, &base);
   // Every collapse attempt was suppressed: the chain survives deep, the
@@ -701,7 +689,7 @@ TEST_F(ShadowCollapseTest, ExternalPagerBackedShadowIsNeverSpliced) {
   // can't be enumerated, so a splice would silently drop data the manager
   // still owns. The chain bottoms out at the pager object, unwritten pages
   // keep reading through to the manager, and the denial is observable.
-  auto kernel = MakeKernel(true);
+  auto kernel = MakeKernel();
   PatternPager pager;
   pager.Start();
   SendRight object = pager.NewObject();
@@ -803,35 +791,39 @@ TEST_F(VmOpsTest, MapMutationInvalidatesOptimisticLookup) {
   EXPECT_GE(after.map_lookups_optimistic - mid.map_lookups_optimistic, uint64_t{1});
 }
 
-TEST(VmConfigTest, OptimisticLookupOffUsesLockedPathOnly) {
-  Kernel::Config config;
-  config.frames = 128;
-  config.page_size = kPage;
-  config.disk_latency = DiskLatencyModel{0, 0};
-  config.vm.optimistic_map_lookup = false;
-  Kernel kernel(config);
-  std::shared_ptr<Task> task = kernel.CreateTask();
-
+// The locked path is the lock-free tier's fallback: with the snapshot made
+// stale by a map mutation before every re-fault, each resident re-fault is
+// installed by the locked path's in-lock fast path within 3 locks (map
+// shared + object + hash shard; queue skipped by the tag fast-out), and
+// that path republishes the snapshot for the next fault.
+TEST_F(VmOpsTest, StaleSnapshotRefaultTakesLockedFallbackWithinBudget) {
   constexpr int kPages = 8;
-  VmOffset addr = task->VmAllocate(kPages * kPage).value();
+  VmOffset addr = task_->VmAllocate(kPages * kPage).value();
   std::vector<uint8_t> buf(kPages * kPage, 0x5A);
-  ASSERT_EQ(task->Write(addr, buf.data(), buf.size()), KernReturn::kSuccess);
+  ASSERT_EQ(task_->Write(addr, buf.data(), buf.size()), KernReturn::kSuccess);
 
-  task->vm_context().pmap->Remove(addr, addr + kPages * kPage);
-  VmStatistics before = task->VmStats();
   uint32_t v = 0;
   for (int i = 0; i < kPages; ++i) {
-    ASSERT_EQ(task->Read(addr + i * kPage, &v, sizeof(v)), KernReturn::kSuccess);
+    const VmOffset page = addr + i * kPage;
+    task_->vm_context().pmap->Remove(page, page + kPage);
+    VmOffset scratch = task_->VmAllocate(kPage).value();
+    ASSERT_EQ(task_->VmDeallocate(scratch, kPage), KernReturn::kSuccess);
+    VmStatistics before = task_->VmStats();
+    ASSERT_EQ(task_->Read(page, &v, sizeof(v)), KernReturn::kSuccess);
+    VmStatistics after = task_->VmStats();
+    ASSERT_EQ(after.faults - before.faults, 1u) << "page " << i;
+    EXPECT_EQ(after.map_lookups_optimistic, before.map_lookups_optimistic) << "page " << i;
+    EXPECT_EQ(after.map_lookup_retries - before.map_lookup_retries, 1u) << "page " << i;
+    EXPECT_EQ(after.fast_faults - before.fast_faults, 1u) << "page " << i;
+    EXPECT_LE(after.fault_lock_ops - before.fault_lock_ops, 3u) << "page " << i;
   }
-  VmStatistics st = task->VmStats();
-  // The ablation config never takes the lock-free tier…
-  EXPECT_EQ(st.map_lookups_optimistic, 0u);
-  EXPECT_EQ(st.map_lookup_retries, 0u);
-  // …but the in-lock fast path still bounds a resident re-fault at 3 locks
-  // (map shared + object + hash shard; queue skipped by the tag fast-out).
-  const uint64_t faults = st.faults - before.faults;
-  ASSERT_GE(faults, uint64_t{kPages});
-  EXPECT_LE(st.fault_lock_ops - before.fault_lock_ops, faults * 3);
+
+  // The last fallback republished the snapshot: with no mutation since,
+  // the next re-fault resolves lock-free.
+  task_->vm_context().pmap->Remove(addr, addr + kPage);
+  VmStatistics before = task_->VmStats();
+  ASSERT_EQ(task_->Read(addr, &v, sizeof(v)), KernReturn::kSuccess);
+  EXPECT_EQ(task_->VmStats().map_lookups_optimistic - before.map_lookups_optimistic, 1u);
 }
 
 TEST_F(VmOpsTest, KernelReadBatchesQueueOperations) {
@@ -867,12 +859,18 @@ class RunRecordingPager : public DataManager {
     std::lock_guard<std::mutex> g(mu_);
     return writes_;
   }
-  bool WaitForWrites(size_t n) const {
+  // Waits until at least `n` writes carrying at least `pages` pages in
+  // total have arrived.
+  bool WaitForWrites(size_t n, VmSize pages = 0) const {
     auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (std::chrono::steady_clock::now() < deadline) {
       {
         std::lock_guard<std::mutex> g(mu_);
-        if (writes_.size() >= n) {
+        VmSize bytes = 0;
+        for (const auto& write : writes_) {
+          bytes += write.second;
+        }
+        if (writes_.size() >= n && bytes >= pages * kPage) {
           return true;
         }
       }
@@ -914,18 +912,19 @@ class PageoutClusterTest : public ::testing::Test {
     }
   }
 
-  std::unique_ptr<Kernel> MakeKernel(bool clustering) {
+  // cluster_max 1 is page-at-a-time write-back (the ablation arm).
+  std::unique_ptr<Kernel> MakeKernel(uint32_t cluster_max) {
     Kernel::Config config;
     config.frames = 128;
     config.page_size = kPage;
     config.disk_latency = DiskLatencyModel{0, 0};
-    config.vm.pageout_clustering = clustering;
+    config.vm.pageout_cluster_max = cluster_max;
     return std::make_unique<Kernel>(config);
   }
 };
 
 TEST_F(PageoutClusterTest, CleanRequestBatchesContiguousDirtyRuns) {
-  auto kernel = MakeKernel(true);
+  auto kernel = MakeKernel(16);
   auto task = kernel->CreateTask();
   RunRecordingPager pager;
   pager.Start();
@@ -952,7 +951,7 @@ TEST_F(PageoutClusterTest, CleanRequestBatchesContiguousDirtyRuns) {
 }
 
 TEST_F(PageoutClusterTest, ClusteringOffWritesOnePagePerMessage) {
-  auto kernel = MakeKernel(false);
+  auto kernel = MakeKernel(1);
   auto task = kernel->CreateTask();
   RunRecordingPager pager;
   pager.Start();
@@ -981,7 +980,7 @@ TEST_F(PageoutClusterTest, ClusteringReducesDataWriteMessageCount) {
   // with clustering on and 64 with it off, at identical pages written.
   uint64_t runs[2] = {0, 0};
   for (bool clustering : {true, false}) {
-    auto kernel = MakeKernel(clustering);
+    auto kernel = MakeKernel(clustering ? 16 : 1);
     auto task = kernel->CreateTask();
     RunRecordingPager pager;
     pager.Start();
@@ -1003,6 +1002,55 @@ TEST_F(PageoutClusterTest, ClusteringReducesDataWriteMessageCount) {
   EXPECT_EQ(runs[0], 4u);  // 64 pages / pageout_cluster_max(16).
   EXPECT_EQ(runs[1], 64u);
   EXPECT_LT(runs[0], runs[1]);
+}
+
+// Object termination writes dirty pages back through the same clustered
+// runs as pageout: 8 contiguous dirty pages cost at most
+// ceil(8 / pageout_cluster_max) pager_data_write messages.
+TEST_F(PageoutClusterTest, TerminationWritesDirtyPagesInClusteredRuns) {
+  constexpr uint32_t kClusterMax = 4;
+  auto kernel = MakeKernel(kClusterMax);
+  auto task = kernel->CreateTask();
+  RunRecordingPager pager;
+  pager.Start();
+  VmOffset base = task->VmAllocateWithPager(8 * kPage, pager.NewObject(), 0).value();
+  for (VmOffset p = 0; p < 8; ++p) {
+    uint64_t v = p + 1;
+    ASSERT_EQ(task->Write(base + p * kPage, &v, sizeof(v)), KernReturn::kSuccess);
+  }
+  // The only mapping goes: the object terminates and writes back.
+  ASSERT_EQ(task->VmDeallocate(base, 8 * kPage), KernReturn::kSuccess);
+  ASSERT_TRUE(pager.WaitForWrites(1, 8));
+  EXPECT_LE(pager.writes().size(), (8 + kClusterMax - 1) / kClusterMax);
+  task.reset();
+  pager.Stop();
+}
+
+// A terminating object's refused write-back is not parked: its parked data
+// would be unreachable the moment the object is gone.
+TEST_F(PageoutClusterTest, TerminationAgainstAFullManagerQueueDoesNotPark) {
+  auto kernel = MakeKernel(16);
+  auto task = kernel->CreateTask();
+  RunRecordingPager pager;
+  pager.Start();
+  SendRight object = pager.NewObject();
+  object.port()->SetBacklog(1);
+  VmOffset base = task->VmAllocateWithPager(8 * kPage, object, 0).value();
+  for (VmOffset p = 0; p < 8; ++p) {
+    uint64_t v = p + 1;
+    ASSERT_EQ(task->Write(base + p * kPage, &v, sizeof(v)), KernReturn::kSuccess);
+  }
+  // Stop the manager and fill its one-message queue: every write-back
+  // send is refused.
+  pager.Stop();
+  ASSERT_EQ(MsgSend(object, Message(1), kPoll), KernReturn::kSuccess);
+  VmStatistics before = kernel->vm().Statistics();
+  ASSERT_EQ(task->VmDeallocate(base, 8 * kPage), KernReturn::kSuccess);
+  VmStatistics after = kernel->vm().Statistics();
+  EXPECT_EQ(after.parked_pageouts, before.parked_pageouts);
+  EXPECT_EQ(kernel->default_pager().parked_count(), 0u);
+  EXPECT_TRUE(pager.writes().empty());
+  task.reset();
 }
 
 // --- adaptive fault-ahead ----------------------------------------------------
@@ -1042,13 +1090,13 @@ class ReadRecordingPager : public DataManager {
 
 class FaultAheadTest : public ::testing::Test {
  protected:
+  // fault_ahead off is a window cap of 1: one request per page.
   std::unique_ptr<Kernel> MakeKernel(bool fault_ahead, uint32_t max = 8) {
     Kernel::Config config;
     config.frames = 256;
     config.page_size = kPage;
     config.disk_latency = DiskLatencyModel{0, 0};
-    config.vm.fault_ahead = fault_ahead;
-    config.vm.fault_ahead_max = max;
+    config.vm.fault_ahead_max = fault_ahead ? max : 1;
     return std::make_unique<Kernel>(config);
   }
 

@@ -47,7 +47,6 @@ struct TenantWorkloadOptions {
 
   uint32_t server_frames = 64;  // Host 0's pool: small enough to page out.
   uint32_t tenant_frames = 64;  // Remote hosts' pools.
-  bool pageout_clustering = true;  // The ablation toggle (all hosts).
 
   // Chaos: arm the fault points and run the mid-run crash + heal.
   bool chaos = false;
