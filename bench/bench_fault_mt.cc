@@ -1,8 +1,8 @@
 // E11 (§5.5 on a multiprocessor): fault-path scaling under the VM lock
 // hierarchy. Concurrent faults that share nothing — disjoint regions of one
 // address map — should scale with the thread count, because they take the
-// map lock shared and meet only in per-object locks, hash shards and the
-// page queues. Faults that genuinely share state (copy-on-write pushes out
+// map lock shared and meet only in per-object locks (which also guard each
+// object's page table) and the page queues. Faults that genuinely share state (copy-on-write pushes out
 // of one inherited object) contend on that object's lock and bound the
 // speedup; both flavours are reported at 1/2/4/8 threads.
 //
@@ -99,8 +99,8 @@ void BM_FaultMtSharedCow(benchmark::State& state) {
 }
 
 // Read faults through one *shared* (inheritance) region: threads fault the
-// same pages of the same object, so resolution is all lookup — the sharded
-// hash and per-object locks are what is being exercised.
+// same pages of the same object, so resolution is all lookup — the object's
+// page table and its lock are what is being exercised.
 void BM_FaultMtSharedRead(benchmark::State& state) {
   const VmSize region = VmSize{kPagesPerThread} * kPage;
   if (state.thread_index() == 0) {

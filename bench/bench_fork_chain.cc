@@ -12,9 +12,14 @@
 // fault point at probability 1, so every collapse opportunity is declined.
 // Counters: chain_len (survivor's actual chain length), resident
 // (active+inactive pages), collapses, migrated.
+//
+// BM_ForkExitBackingSweep (E10) sweeps the size of the object a dying
+// generation leaves behind: the splice absorbs it by adopting its page
+// table, so the exit should cost the same at 16, 128 and 512 pages.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 
@@ -111,6 +116,54 @@ void BM_ForkChainBuild(benchmark::State& state) {
 BENCHMARK(BM_ForkChainBuild)
     ->ArgsProduct({{1, 4, 16, 64}, {0, 1}})
     ->ArgNames({"depth", "collapse"})
+    ->Unit(benchmark::kMicrosecond);
+
+// Exit cost against backing size: each generation inherits a heap of
+// `backing` pages, writes 8 of them (its shadow holds those 8) and then
+// becomes the parent of the next generation and exits. The exit splices the
+// dead generation's object — `backing` pages, 8 superseded — into the
+// survivor's 8-page shadow. Iteration time is the exit alone (manual
+// timing: forks and writes are excluded), in microseconds per exit.
+// Counters: migrated_per_exit (pages re-homed by each splice, backing - 8),
+// collapses_per_exit (1 when every exit splices).
+void BM_ForkExitBackingSweep(benchmark::State& state) {
+  const uint64_t backing = static_cast<uint64_t>(state.range(0));
+  constexpr uint64_t kWrites = 8;
+  auto kernel = MakeKernel(/*collapse=*/true);
+  auto task = kernel->CreateTask(nullptr, "gen0");
+  const VmOffset base = task->VmAllocate(backing * kPage).value();
+  for (uint64_t p = 0; p < backing; ++p) {
+    task->WriteValue<uint64_t>(base + p * kPage, p + 1);
+  }
+  const VmStatistics before = kernel->vm().Statistics();
+  uint64_t g = 0;
+  for (auto _ : state) {
+    auto child = kernel->CreateTask(task, "gen");
+    for (uint64_t i = 0; i < kWrites; ++i) {
+      child->WriteValue<uint64_t>(base + ((g * kWrites + i) % backing) * kPage, g);
+    }
+    ++g;
+    const auto t0 = std::chrono::steady_clock::now();
+    task = std::move(child);  // The previous generation exits here.
+    const auto t1 = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  const VmStatistics after = kernel->vm().Statistics();
+  const double exits = static_cast<double>(state.iterations());
+  state.counters["migrated_per_exit"] =
+      static_cast<double>(after.pages_migrated - before.pages_migrated) / exits;
+  state.counters["collapses_per_exit"] =
+      static_cast<double>(after.shadow_collapses - before.shadow_collapses) / exits;
+  state.counters["chain_len"] =
+      static_cast<double>(kernel->vm().ShadowChainLength(task->vm_context(), base));
+  task.reset();
+}
+BENCHMARK(BM_ForkExitBackingSweep)
+    ->ArgName("backing")
+    ->Arg(16)
+    ->Arg(128)
+    ->Arg(512)
+    ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // E11 measured the lock hierarchy's single-thread tax in wall time; this
 // probe makes the underlying quantity — ordered lock acquisitions per fault
-// — directly observable. VM-tier lock sites (tiers 1-5 of the order in
+// — directly observable. VM-tier lock sites (tiers 1-4 of the order in
 // vm_system.h) call Note() when they acquire; the fault entry point
 // snapshots the thread-local count on entry and exit and accumulates the
 // delta into VmStatistics::fault_lock_ops, so

@@ -131,9 +131,18 @@ void PhysicalMemory::PvRemove(uint32_t frame, Pmap* pmap, VmOffset vaddr) {
   }
 }
 
-std::vector<PvEntry> PhysicalMemory::PvList(uint32_t frame) const {
+PvSnapshot PhysicalMemory::PvList(uint32_t frame) const {
+  PvSnapshot out;
   std::lock_guard<std::mutex> g(frames_[frame].mu);
-  return frames_[frame].pv;
+  const std::vector<PvEntry>& pv = frames_[frame].pv;
+  out.size_ = pv.size();
+  out.spilled_ = pv.size() > PvSnapshot::kInline;
+  if (out.spilled_) {
+    out.overflow_ = pv;
+  } else {
+    std::copy(pv.begin(), pv.end(), out.inline_.begin());
+  }
+  return out;
 }
 
 }  // namespace mach

@@ -16,6 +16,7 @@
 #ifndef SRC_HW_PHYSICAL_MEMORY_H_
 #define SRC_HW_PHYSICAL_MEMORY_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -34,6 +35,27 @@ class Pmap;
 struct PvEntry {
   Pmap* pmap;
   VmOffset vaddr;
+};
+
+// A copy of one frame's pv list, taken under the frame lock so the caller
+// can walk it after releasing that lock (lock order: pmap before frame).
+// Nearly every frame has at most a few mappings, so the copy lives in an
+// inline buffer and touches the heap only for longer lists.
+class PvSnapshot {
+ public:
+  static constexpr size_t kInline = 4;
+
+  const PvEntry* begin() const { return spilled_ ? overflow_.data() : inline_.data(); }
+  const PvEntry* end() const { return begin() + size_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  friend class PhysicalMemory;
+  std::array<PvEntry, kInline> inline_{};
+  std::vector<PvEntry> overflow_;
+  size_t size_ = 0;
+  bool spilled_ = false;
 };
 
 class PhysicalMemory {
@@ -73,7 +95,9 @@ class PhysicalMemory {
   // pv-list maintenance, used by Pmap.
   void PvAdd(uint32_t frame, Pmap* pmap, VmOffset vaddr);
   void PvRemove(uint32_t frame, Pmap* pmap, VmOffset vaddr);
-  std::vector<PvEntry> PvList(uint32_t frame) const;
+  // Snapshot of the frame's pv list (allocation-free up to
+  // PvSnapshot::kInline entries).
+  PvSnapshot PvList(uint32_t frame) const;
 
  private:
   struct Frame {

@@ -93,8 +93,9 @@ void Pmap::LowerProtection(VmOffset page_addr, uint32_t frame, VmProt prot) {
 }
 
 void Pmap::PageProtect(PhysicalMemory* phys, uint32_t frame, VmProt prot) {
-  // Copy the pv list first: pv access takes the bus lock, and we must not
-  // hold it while taking individual pmap locks (lock order pmap > bus).
+  // Snapshot the pv list first: pv access takes the frame lock, and we must
+  // not hold it while taking individual pmap locks (lock order pmap >
+  // frame). The snapshot stays on the stack for short lists.
   for (const PvEntry& e : phys->PvList(frame)) {
     e.pmap->LowerProtection(e.vaddr, frame, prot);
   }

@@ -10,8 +10,8 @@
 // page fault: the caller (the task copyin/copyout layer) invokes the kernel
 // fault handler and retries.
 //
-// Lock order: Pmap::mu_ may be held while taking the PhysicalMemory bus
-// mutex, never the reverse (callers that walk pv lists copy them first).
+// Lock order: Pmap::mu_ may be held while taking a PhysicalMemory frame
+// lock, never the reverse (callers that walk pv lists snapshot them first).
 
 #ifndef SRC_HW_PMAP_H_
 #define SRC_HW_PMAP_H_

@@ -309,20 +309,26 @@ void RecoveryManager::LogUpdate(uint64_t tid, uint64_t segment_id, VmOffset offs
   }
 }
 
-void RecoveryManager::CommitTransaction(uint64_t tid) {
+KernReturn RecoveryManager::CommitTransaction(uint64_t tid) {
   std::lock_guard<std::mutex> g(mu_);
   LogRecord rec;
   rec.type = LogRecord::Type::kCommit;
   rec.tid = tid;
-  log_.Append(rec);
-  // Commit forces the log: the transaction is durable from here on.
-  log_.Force();
+  const uint64_t commit_lsn = log_.Append(rec);
+  // Commit forces the log: the transaction is durable once the force covers
+  // its commit record.
+  const bool durable = log_.Force() >= commit_lsn;
   active_tids_.erase(tid);
   // A successful force unblocks any WAL-deferred pageouts (FlushDeferred
   // re-checks the rule itself, so this is safe even if the force failed).
   for (auto& [name, segment] : segments_) {
     FlushDeferred(&segment);
   }
+  // A failed force leaves the commit record in the volatile tail: a crash
+  // now loses the transaction, so the caller must not treat it as
+  // committed. (A later successful force may still make it durable; its
+  // outcome is in doubt until then.)
+  return durable ? KernReturn::kSuccess : KernReturn::kFailure;
 }
 
 void RecoveryManager::AbortTransaction(uint64_t tid) {
@@ -471,8 +477,7 @@ KernReturn Transaction::Commit() {
     return KernReturn::kInvalidArgument;
   }
   done_ = true;
-  rm_->CommitTransaction(tid_);
-  return KernReturn::kSuccess;
+  return rm_->CommitTransaction(tid_);
 }
 
 KernReturn Transaction::Abort() {

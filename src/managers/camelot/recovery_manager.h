@@ -50,7 +50,9 @@ class RecoveryManager : public DataManager {
   // Records undo/redo images. Must be called *before* the memory write.
   void LogUpdate(uint64_t tid, uint64_t segment_id, VmOffset offset,
                  std::vector<std::byte> old_data, std::vector<std::byte> new_data);
-  void CommitTransaction(uint64_t tid);  // Forces the log.
+  // Forces the log. Fails (kFailure) when the force does not make the
+  // commit record durable; the caller must then not report the commit.
+  KernReturn CommitTransaction(uint64_t tid);
   void AbortTransaction(uint64_t tid);
   // Records an undo action taken during abort (redo-only compensation).
   void LogCompensation(uint64_t tid, uint64_t segment_id, VmOffset offset,
@@ -156,6 +158,7 @@ class Transaction {
   KernReturn Write(const RecoverableSegment& segment, VmOffset offset, const void* data,
                    VmSize len);
 
+  // Succeeds only once the commit record is durable in the log.
   KernReturn Commit();
   KernReturn Abort();  // Restores the old values through the mapping.
 

@@ -326,6 +326,15 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
           page->absent = false;
           object->cv.notify_all();
         }
+        if (page->queue.load(std::memory_order_relaxed) == VmPage::Queue::kNone) {
+          // Every settled resident page belongs on a pageout queue. Pages
+          // settled in place — a pager verdict, unparked data, zero fill on
+          // a dead or silent pager — are first seen here, on the rescan. A
+          // copy-on-write source settled in a backing object is never
+          // activated by the install below, and off every queue it could
+          // never be reclaimed.
+          PageActivate(page);
+        }
         if (object == first_object) {
           // Found in the top object. Honour any data-manager lock.
           if ((fault_type & page->page_lock) != 0 && object->pager.valid()) {
@@ -627,7 +636,7 @@ Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_
         ++depth;
         // Skip pageless intermediates cheaply: an object with no resident
         // pages and no pager cannot resolve any offset itself.
-        while (object->resident_count == 0 && !object->pager.valid() &&
+        while (object->pages.empty() && !object->pager.valid() &&
                object->shadow != nullptr) {
           parent = object->shadow;
           parent_offset = offset + object->shadow_offset;
@@ -725,7 +734,7 @@ bool VmSystem::TryOptimisticFault(TaskVm& task, VmOffset page_addr, VmProt acces
   if (!e->object->alive) {
     return false;
   }
-  VmPage* page = PageLookupRaw(e->object.get(), object_offset);
+  VmPage* page = e->object->pages.Find(object_offset);
   if (page == nullptr || page->busy || page->absent || page->unavailable ||
       page->error) {
     return false;  // Unsettled (or missing) pages are locked-path work.
@@ -760,8 +769,7 @@ KernReturn VmSystem::Fault(TaskVm& task, VmOffset addr, VmProt access) {
   QueueBatchDrainedCheck batch_check;
   MaybeDrainDeferred();
   // Tier 0: the lock-free resolution. Touches no map lock at all — two
-  // locks total (object + pmap, plus the page-hash shard) for the common
-  // resident re-fault.
+  // locks total (object + pmap) for the common resident re-fault.
   if (TryOptimisticFault(task, page_addr, access)) {
     return KernReturn::kSuccess;
   }
@@ -908,6 +916,16 @@ KernReturn VmSystem::UserAccess(TaskVm& task, VmOffset addr, void* buf, VmSize l
 
 // --- kernel-mediated access -------------------------------------------------
 
+bool VmSystem::PageResidentNow(VmObject* object, VmOffset offset) {
+  // Sizes the fault-ahead window only: the answer may be stale by the time
+  // ResolvePage relocks the object, and a stale "miss" costs one detector
+  // update, nothing more. The probe itself holds the owner's lock (map
+  // lock, then object lock: the documented order).
+  lock_probe::Note();
+  ObjectLock olk(object->mu);
+  return object->pages.Contains(offset);
+}
+
 KernReturn VmSystem::ReadMemory(TaskVm& task, VmOffset addr, void* buf, VmSize len) {
   // vm_read: kernel-mediated, faults pages in via the object layer without
   // touching the task's pmap. Pins ride a PinBatch so each page's
@@ -939,9 +957,7 @@ KernReturn VmSystem::ReadMemory(TaskVm& task, VmOffset addr, void* buf, VmSize l
       }
       object = re.value().holder->object;
       object_offset = TruncPage(re.value().object_offset, ps);
-      if (!PageResident(object.get(), object_offset)) {
-        // A racy (shard-lock only) probe is fine for a heuristic: a false
-        // "miss" costs one detector update, nothing more.
+      if (!PageResidentNow(object.get(), object_offset)) {
         fa_window = ComputeFaultAheadWindow(re.value().holder, object_offset);
       }
     }
@@ -985,7 +1001,7 @@ KernReturn VmSystem::WriteMemory(TaskVm& task, VmOffset addr, const void* buf, V
       }
       object = re.value().holder->object;
       object_offset = TruncPage(re.value().object_offset, ps);
-      if (!PageResident(object.get(), object_offset)) {
+      if (!PageResidentNow(object.get(), object_offset)) {
         fa_window = ComputeFaultAheadWindow(re.value().holder, object_offset);
       }
     }

@@ -11,8 +11,8 @@
 // paper's "number of address map references to the object"); when it drops
 // to zero the object is terminated or cached per can_persist (§3.4.1).
 //
-// Locking: each object carries its own mutex `mu` guarding its page list,
-// page state, pager ports and paged/parked metadata, plus a condition
+// Locking: each object carries its own mutex `mu` guarding its resident-page
+// table, page state, pager ports and paged/parked metadata, plus a condition
 // variable `cv` for the §5 busy/wanted page protocol. Chain *structure*
 // (`shadow`, `shadow_offset`, `shadow_children`) and lifecycle state
 // (`alive`, `cached`, `can_persist`, registry membership) are guarded by the
@@ -55,10 +55,10 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   VmSize size() const { return size_; }
   void set_size(VmSize size) { size_ = size; }
 
-  // The object lock: guards the page list, every resident page's state, the
-  // pager ports, and the paged/parked offset metadata. Innermost of the
-  // object tier (only hash-shard, queue, pmap/frame and port locks nest
-  // inside it).
+  // The object lock: guards the resident-page table, every resident page's
+  // state, the pager ports, and the paged/parked offset metadata. Innermost
+  // of the object tier (only queue, pmap/frame and port locks nest inside
+  // it).
   mutable std::mutex mu;
 
   // The wanted-page condition (§5 busy/wanted protocol): waiters for a busy
@@ -120,9 +120,10 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   // decisions are serialised.
   std::atomic<uint32_t> map_refs{0};
 
-  // Resident pages of this object.
-  ObjectPageList pages;
-  uint32_t resident_count = 0;
+  // Resident pages of this object, keyed by offset (the §5.3 lookup, kept
+  // per object: DESIGN decision 4). Guarded by mu. pages.size() is the
+  // resident count.
+  VmPageTable pages;
 
   // Monotonic id used as the default pager's backing-store key.
   uint64_t id() const { return id_; }

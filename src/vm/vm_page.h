@@ -1,30 +1,33 @@
 // Resident page structures (§5.3) and pageout queues (§5.4).
 //
 // Each VmPage corresponds to a page of physical memory holding cached data
-// for some (memory object, offset). Pages live on:
-//   * their object's page list        (object_link)
-//   * one of the pageout queues       (queue_link): active / inactive
-// and are findable through the virtual-to-physical hash table (§5.3),
-// keyed by (object, offset).
+// for some (memory object, offset). A page is findable through its object's
+// resident-page table (VmPageTable, keyed by offset: §5.3's
+// object/offset lookup, kept per object rather than in one global
+// virtual-to-physical hash — DESIGN decision 4) and sits on at most one of
+// the pageout queues (queue_link): active / inactive.
 //
 // Locking: a page's state fields (busy/absent/error/..., page_lock, dirty,
-// identity and pin_count) are protected by the *owning VmObject's* lock; the
-// queue membership fields (queue_link, and the identity fields while a
-// PageRename is in flight) are additionally protected by the VmSystem page-
-// queue lock. The `queue` tag itself is atomic: it is only *written* under
-// the queue lock, but may be *read* without it, so PageActivate can skip the
-// lock entirely for a page already on the active queue (the overwhelmingly
-// common case on the fault path). A stale read is benign — the slow path
-// re-checks under the lock, and a page that deactivates concurrently is
-// rescued later by its hardware reference bit (second chance). Frame
-// contents and hardware bits live in hw::PhysicalMemory under per-frame
-// locks. See the lock-order comment in vm_system.h.
+// identity and pin_count) and its table slot are protected by the *owning
+// VmObject's* lock; the queue membership fields (queue_link), and the
+// identity fields while a collapse relabels them, are additionally
+// protected by the VmSystem page-queue lock. The `queue` tag itself is
+// atomic: it is only *written* under the queue lock, but may be *read*
+// without it, so PageActivate can skip the lock entirely for a page already
+// on the active queue (the overwhelmingly common case on the fault path). A
+// stale read is benign — the slow path re-checks under the lock, and a page
+// that deactivates concurrently is rescued later by its hardware reference
+// bit (second chance). Frame contents and hardware bits live in
+// hw::PhysicalMemory under per-frame locks. See the lock-order comment in
+// vm_system.h.
 
 #ifndef SRC_VM_VM_PAGE_H_
 #define SRC_VM_VM_PAGE_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
+#include <unordered_map>
 
 #include "src/base/intrusive_list.h"
 #include "src/base/vm_types.h"
@@ -68,7 +71,7 @@ struct VmPage {
   // Short-term reference count taken by a fault while it installs the frame
   // into a pmap after dropping the object lock (distinct from `busy`, which
   // marks a page whose *data* is in transit). A pinned page may not be
-  // freed, renamed by collapse, or selected by pageout; if the object dies
+  // freed, moved by collapse, or selected by pageout; if the object dies
   // while pins are outstanding the page is orphaned and the last unpinner
   // frees it.
   uint16_t pin_count = 0;
@@ -78,12 +81,65 @@ struct VmPage {
   enum class Queue : uint8_t { kNone, kActive, kInactive };
   std::atomic<Queue> queue{Queue::kNone};
 
-  IntrusiveListNode object_link;  // VmObject::pages
-  IntrusiveListNode queue_link;   // VmSystem active/inactive queue
+  IntrusiveListNode queue_link;  // VmSystem active/inactive queue
 };
 
 using PageQueue = IntrusiveList<VmPage, &VmPage::queue_link>;
-using ObjectPageList = IntrusiveList<VmPage, &VmPage::object_link>;
+
+// The resident pages of one memory object, keyed by offset. Every access
+// holds the owning VmObject's mu. Iteration visits each page once, in no
+// particular order; ForEach additionally lets `fn` free the page it is
+// given. Collapse moves whole tables between objects with swap().
+class VmPageTable {
+ public:
+  VmPage* Find(VmOffset offset) const {
+    auto it = map_.find(offset);
+    return it == map_.end() ? nullptr : it->second;
+  }
+  bool Contains(VmOffset offset) const { return map_.count(offset) != 0; }
+  // Files `page` under page->offset, which must be vacant.
+  void Insert(VmPage* page) {
+    [[maybe_unused]] const bool vacant = map_.emplace(page->offset, page).second;
+    assert(vacant);
+  }
+  void Erase(const VmPage* page) {
+    assert(Find(page->offset) == page);
+    map_.erase(page->offset);
+  }
+  void clear() { map_.clear(); }
+  size_t size() const { return map_.size(); }
+  bool empty() const { return map_.empty(); }
+  void swap(VmPageTable& other) noexcept { map_.swap(other.map_); }
+
+  class Iterator {
+   public:
+    explicit Iterator(std::unordered_map<VmOffset, VmPage*>::const_iterator it) : it_(it) {}
+    VmPage* operator*() const { return it_->second; }
+    Iterator& operator++() {
+      ++it_;
+      return *this;
+    }
+    bool operator!=(const Iterator& o) const { return it_ != o.it_; }
+
+   private:
+    std::unordered_map<VmOffset, VmPage*>::const_iterator it_;
+  };
+  Iterator begin() const { return Iterator(map_.begin()); }
+  Iterator end() const { return Iterator(map_.end()); }
+
+  // Removal-safe traversal: `fn` may erase the page it is given (and only
+  // that page); erasure never invalidates the other elements' iterators.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (auto it = map_.begin(); it != map_.end();) {
+      VmPage* page = (it++)->second;
+      fn(page);
+    }
+  }
+
+ private:
+  std::unordered_map<VmOffset, VmPage*> map_;
+};
 
 // vm_statistics (Table 3-3): systemwide VM event counters.
 struct VmStatistics {
@@ -97,7 +153,7 @@ struct VmStatistics {
   uint64_t pageins = 0;         // pager_data_provided pages accepted.
   uint64_t pageouts = 0;        // pager_data_write pages sent.
   uint64_t reactivations = 0;   // Inactive pages saved by their ref bit.
-  uint64_t lookups = 0;         // Object/offset hash probes.
+  uint64_t lookups = 0;         // Object/offset page-table probes.
   uint64_t hits = 0;            // Probes that found a resident page.
   uint64_t unlock_requests = 0; // pager_data_unlock calls issued.
   uint64_t parked_pageouts = 0; // Dirty pages diverted to the default pager
@@ -112,7 +168,7 @@ struct VmStatistics {
   uint64_t shadow_bypasses = 0;   // Whole chains released because the top
                                   // object fully covers its window.
   uint64_t pages_migrated = 0;    // Pages re-homed into the survivor during
-                                  // a collapse.
+                                  // a collapse (moved or adopted).
   uint64_t collapse_denied = 0;   // Collapse opportunities declined (busy
                                   // pages, uncovered pager-held data, or
                                   // injected suppression).
@@ -131,7 +187,7 @@ struct VmStatistics {
   uint64_t activations_skipped = 0;   // PageActivate calls satisfied by the
                                       // lock-free queue-tag check (the page
                                       // was already active; no queue lock).
-  uint64_t fault_lock_ops = 0;        // VM-tier (1-5) lock acquisitions made
+  uint64_t fault_lock_ops = 0;        // VM-tier (1-4) lock acquisitions made
                                       // inside Fault(), via the per-thread
                                       // probe; / faults = locks per fault.
   uint64_t map_lookups_optimistic = 0;  // Faults resolved end to end through

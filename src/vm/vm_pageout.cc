@@ -64,13 +64,8 @@ void VmSystem::PageoutDaemonMain() {
     lk.unlock();
     MaybeDrainDeferred();
     {
-      // Age pages: keep roughly a third of the in-use pool on the inactive
-      // queue so reference information accumulates.
       std::lock_guard<std::mutex> qlk(queue_mu_);
-      uint32_t inactive_target = (active_count_ + inactive_count_) / 3;
-      while (inactive_count_ < inactive_target && !active_queue_.empty()) {
-        PageDeactivateLocked(active_queue_.Front());
-      }
+      AgeQueuesLocked();
     }
     // Replenish free memory.
     uint32_t free = phys_->free_frames();
@@ -78,6 +73,15 @@ void VmSystem::PageoutDaemonMain() {
       ReclaimPass(free_target_ - free);
     }
     lk.lock();
+  }
+}
+
+void VmSystem::AgeQueuesLocked() {
+  // Keep roughly a third of the in-use pool on the inactive queue so
+  // reference information accumulates.
+  const uint32_t inactive_target = (active_count_ + inactive_count_) / 3;
+  while (inactive_count_ < inactive_target && !active_queue_.empty()) {
+    PageDeactivateLocked(active_queue_.Front());
   }
 }
 
@@ -92,13 +96,19 @@ uint32_t VmSystem::ReclaimPass(uint32_t want) {
       if (active_queue_.empty()) {
         break;
       }
-      PageDeactivateLocked(active_queue_.Front());
+      // Age a batch, as the daemon would, rather than one page: a lone
+      // inactive victim has no aged neighbours to cluster with, so a
+      // faulting thread that outruns the daemon would write page by page.
+      AgeQueuesLocked();
+      if (inactive_queue_.empty()) {
+        PageDeactivateLocked(active_queue_.Front());
+      }
       continue;
     }
     VmPage* page = inactive_queue_.Front();
-    // Identity is stable while queue_mu_ is held (PageRename flips it under
-    // queue_mu_), but the object lock order is the reverse of ours: try
-    // only, and rotate contended pages to the tail.
+    // Identity is stable while queue_mu_ is held (collapse relabels pages
+    // under queue_mu_), but the object lock order is the reverse of ours:
+    // try only, and rotate contended pages to the tail.
     VmObject* owner = page->object;
     if (!owner->mu.try_lock()) {
       inactive_queue_.Remove(page);
@@ -273,7 +283,7 @@ std::vector<VmPage*> VmSystem::CollectPageoutClusterLocked(VmObject* object, VmP
   // seed: a page dirty before the protect stays dirty, and no access can
   // slip in after it.
   auto claim = [&](VmOffset off) -> VmPage* {
-    VmPage* p = PageLookupRaw(object, off);
+    VmPage* p = object->pages.Find(off);
     if (p == nullptr || p->busy || p->pin_count > 0 ||
         p->queue.load(std::memory_order_relaxed) != VmPage::Queue::kInactive) {
       return nullptr;

@@ -17,7 +17,8 @@
 
 namespace mach {
 
-VmSystem::VmSystem(PhysicalMemory* phys, Config config) : phys_(phys), config_(config) {
+VmSystem::VmSystem(PhysicalMemory* phys, Config config)
+    : phys_(phys), config_(config), frame_pages_(phys->frame_count(), nullptr) {
   uint32_t frames = phys_->frame_count();
   free_target_ = config.free_target != 0 ? config.free_target : std::max<uint32_t>(frames / 8, 4);
   reserved_ = config.reserved != 0 ? config.reserved : std::max<uint32_t>(frames / 64, 2);
@@ -40,19 +41,16 @@ VmSystem::VmSystem(PhysicalMemory* phys, Config config) : phys_(phys), config_(c
 
 VmSystem::~VmSystem() {
   StopPageoutDaemon();
-  // Free any pages still resident (objects referenced by leaked handles).
-  // Execution is single-threaded by now, but PageFreeLocked still wants the
-  // owner's lock as its witness.
-  std::vector<VmPage*> pages;
-  for (PageHashShard& shard : page_shards_) {
-    std::lock_guard<std::mutex> g(shard.mu);
-    for (auto& [key, page] : shard.map) {
-      pages.push_back(page);
+  // Free any pages still resident (cached objects, and objects referenced
+  // by leaked handles). Every resident page owns a frame, so the frame
+  // back-pointers find them all. Execution is single-threaded by now, but
+  // each page still leaves its object's table under the owner's lock, like
+  // any other free.
+  for (size_t frame = 0; frame < frame_pages_.size(); ++frame) {
+    if (VmPage* page = frame_pages_[frame]; page != nullptr) {
+      ObjectLock olk(page->object->mu);
+      PageFreeLocked(olk, page);
     }
-  }
-  for (VmPage* page : pages) {
-    ObjectLock olk(page->object->mu);
-    PageFreeLocked(olk, page);
   }
 }
 
@@ -73,46 +71,20 @@ TaskVm VmSystem::CreateTaskVm() {
 
 // --- resident page management ---------------------------------------------
 
-VmSystem::PageHashShard& VmSystem::ShardFor(const VmObject* object, VmOffset offset) const {
-  return page_shards_[PageKeyHash{}(PageKey{object, offset}) & (kPageHashShards - 1)];
-}
-
 VmPage* VmSystem::PageLookup(VmObject* object, VmOffset offset) {
   counters_.lookups.fetch_add(1, std::memory_order_relaxed);
-  PageHashShard& shard = ShardFor(object, offset);
-  lock_probe::Note();
-  std::lock_guard<std::mutex> g(shard.mu);
-  auto it = shard.map.find(PageKey{object, offset});
-  if (it == shard.map.end()) {
-    return nullptr;
+  VmPage* page = object->pages.Find(offset);
+  if (page != nullptr) {
+    counters_.hits.fetch_add(1, std::memory_order_relaxed);
   }
-  counters_.hits.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
-}
-
-VmPage* VmSystem::PageLookupRaw(const VmObject* object, VmOffset offset) const {
-  // The optimistic fault path's probe: identical to PageLookup minus the
-  // lookups/hits counter traffic (two contended xadds the lock-free path
-  // exists to avoid; the optimistic counters already tell the story).
-  PageHashShard& shard = ShardFor(object, offset);
-  lock_probe::Note();
-  std::lock_guard<std::mutex> g(shard.mu);
-  auto it = shard.map.find(PageKey{object, offset});
-  return it == shard.map.end() ? nullptr : it->second;
-}
-
-bool VmSystem::PageResident(const VmObject* object, VmOffset offset) const {
-  PageHashShard& shard = ShardFor(object, offset);
-  lock_probe::Note();
-  std::lock_guard<std::mutex> g(shard.mu);
-  return shard.map.count(PageKey{object, offset}) != 0;
+  return page;
 }
 
 Result<VmPage*> VmSystem::PageAllocLocked(VmObject* object, VmOffset offset, bool allow_reserve) {
   assert(offset % page_size() == 0);
-  // The caller may have dropped the object lock since it probed: emplacing
-  // over an existing slot would leave two VmPages claiming it, so rescan.
-  if (PageResident(object, offset)) {
+  // The caller may have dropped the object lock since it probed: filing a
+  // second VmPage under an occupied slot would orphan one, so rescan.
+  if (object->pages.Contains(offset)) {
     return KernReturn::kMemoryPresent;
   }
   std::optional<uint32_t> frame;
@@ -129,14 +101,8 @@ Result<VmPage*> VmSystem::PageAllocLocked(VmObject* object, VmOffset offset, boo
   page->object = object;
   page->offset = offset;
   page->frame = *frame;
-  {
-    PageHashShard& shard = ShardFor(object, offset);
-    lock_probe::Note();
-    std::lock_guard<std::mutex> g(shard.mu);
-    shard.map.emplace(PageKey{object, offset}, page);
-  }
-  object->pages.PushBack(page);
-  ++object->resident_count;
+  object->pages.Insert(page);
+  frame_pages_[page->frame] = page;
   return page;
 }
 
@@ -149,14 +115,10 @@ void VmSystem::PageFreeLocked(ObjectLock& olk, VmPage* page) {
   }
   Pmap::PageProtect(phys_, page->frame, kVmProtNone);
   PageRemoveFromQueue(page);
-  {
-    PageHashShard& shard = ShardFor(page->object, page->offset);
-    lock_probe::Note();
-    std::lock_guard<std::mutex> g(shard.mu);
-    shard.map.erase(PageKey{page->object, page->offset});
-  }
-  page->object->pages.Remove(page);
-  --page->object->resident_count;
+  page->object->pages.Erase(page);
+  // Cleared before the frame goes back: the next owner's store is then
+  // ordered after ours through the free-list lock.
+  frame_pages_[page->frame] = nullptr;
   phys_->FreeFrame(page->frame);
   delete page;
   free_cv_.notify_all();
@@ -297,33 +259,6 @@ void VmSystem::PinBatch::Drain() {
     vm_->UnpinPage(pin);
   }
   pins_.clear();
-}
-
-void VmSystem::PageRename(VmPage* page, VmObject* new_object, VmOffset new_offset) {
-  // Caller holds both objects' locks. The pageout scan reads a queued
-  // page's identity under queue_mu_ alone, so flip it under queue_mu_ too.
-  {
-    PageHashShard& shard = ShardFor(page->object, page->offset);
-    lock_probe::Note();
-    std::lock_guard<std::mutex> g(shard.mu);
-    shard.map.erase(PageKey{page->object, page->offset});
-  }
-  page->object->pages.Remove(page);
-  --page->object->resident_count;
-  {
-    lock_probe::Note();
-    std::lock_guard<std::mutex> g(queue_mu_);
-    page->object = new_object;
-    page->offset = new_offset;
-  }
-  {
-    PageHashShard& shard = ShardFor(new_object, new_offset);
-    lock_probe::Note();
-    std::lock_guard<std::mutex> g(shard.mu);
-    shard.map.emplace(PageKey{new_object, new_offset}, page);
-  }
-  new_object->pages.PushBack(page);
-  ++new_object->resident_count;
 }
 
 void VmSystem::WaitForFreeFrames() {
@@ -517,7 +452,7 @@ bool HasUnstablePage(const VmObject* object) {
 
 bool VmSystem::ObjectCoversOffset(const VmObject* object, VmOffset offset) const {
   // Raw probe — coverage checks should not skew the lookup/hit statistics.
-  if (PageResident(object, offset)) {
+  if (object->pages.Contains(offset)) {
     return true;
   }
   // Parked (§6.2.2) and pager-held copies count only while the pager
@@ -533,12 +468,12 @@ VmSystem::Coverage VmSystem::FullyCoversSelf(const VmObject* object) const {
   if (!object->pager.valid()) {
     // Residency is the only possible coverage; offsets are distinct and
     // in-range, so the count is exact.
-    return uint64_t{object->resident_count} >= total ? Coverage::kFull : Coverage::kPartial;
+    return uint64_t{object->pages.size()} >= total ? Coverage::kFull : Coverage::kPartial;
   }
   // Coverage is derived from metadata (resident pages + pager-held +
   // parked offsets), never an O(size) offset scan; the cap bounds the
   // metadata walk for degenerate objects.
-  const size_t metadata = size_t{object->resident_count} + object->paged_offsets.size() +
+  const size_t metadata = object->pages.size() + object->paged_offsets.size() +
                           object->parked_offsets.size();
   if (metadata > kCollapseScanCap) {
     return Coverage::kCapExceeded;
@@ -575,7 +510,7 @@ void VmSystem::MaybeCollapse(const std::shared_ptr<VmObject>& object) {
         object->alive && object->shadow != nullptr &&
         (object->shadow->map_refs.load(std::memory_order_acquire) == 1 ||
          (!object->pager.valid() &&
-          uint64_t{object->resident_count} * page_size() >= object->size()));
+          uint64_t{object->pages.size()} * page_size() >= object->size()));
   }
   if (!opportunity) {
     return;
@@ -587,7 +522,7 @@ void VmSystem::MaybeCollapse(const std::shared_ptr<VmObject>& object) {
 
 void VmSystem::TryCollapse(ChainLock& chain, const std::shared_ptr<VmObject>& object) {
   // Splice loop: absorb immediate shadows whose only reference is our
-  // shadow pointer. Page migration is hash-table surgery on frames that
+  // shadow pointer. Page migration is page-table surgery on frames that
   // stay put — no copies and no blocking — under the child and parent
   // object locks (child first, the documented chain order).
   for (;;) {
@@ -621,7 +556,7 @@ void VmSystem::TryCollapse(ChainLock& chain, const std::shared_ptr<VmObject>& ob
     // covers those offsets (or a newer resident copy exists to migrate).
     bool backing_only_data = false;
     auto covered_or_resident = [&](VmOffset so) {
-      return so < window_lo || so >= window_hi || PageResident(s, so) ||
+      return so < window_lo || so >= window_hi || s->pages.Contains(so) ||
              ObjectCoversOffset(object.get(), so - window_lo);
     };
     if (s->pager.valid()) {
@@ -648,33 +583,8 @@ void VmSystem::TryCollapse(ChainLock& chain, const std::shared_ptr<VmObject>& ob
       counters_.collapse_denied.fetch_add(1, std::memory_order_relaxed);
       return;  // Injected suppression (chaos coverage of long chains).
     }
-    // Migrate: every page of s the child would still read through the
-    // window moves into the child; pages the child already covers (its copy
-    // supersedes the shadow's) and pages outside the window die with s.
-    std::vector<VmPage*> source;
-    for (VmPage* page : s->pages) {
-      source.push_back(page);
-    }
-    for (VmPage* page : source) {
-      if (page->offset < window_lo || page->offset >= window_hi) {
-        PageFreeLocked(slk, page);
-        continue;
-      }
-      const VmOffset co = page->offset - window_lo;
-      if (ObjectCoversOffset(object.get(), co)) {
-        PageFreeLocked(slk, page);
-        continue;
-      }
-      // Any surviving hardware mappings of this frame are read-only
-      // (from_backing resolutions never map a shadow's page writable), but
-      // drop write access defensively before the identity change.
-      Pmap::PageProtect(phys_, page->frame, kVmProtRead | kVmProtExecute);
-      PageRename(page, object.get(), co);
-      // The survivor's resident copy is now the only one — s's backing
-      // store dies with it — so the page must not be dropped clean.
-      page->dirty = true;
-      counters_.pages_migrated.fetch_add(1, std::memory_order_relaxed);
-    }
+    counters_.pages_migrated.fetch_add(MergeShadowPagesLocked(slk, object.get(), s),
+                                       std::memory_order_relaxed);
     // Splice s out: the child inherits s's shadow reference (net reference
     // count on the grandparent unchanged), and s's last reference — our
     // shadow pointer — is gone.
@@ -723,6 +633,73 @@ void VmSystem::TryCollapse(ChainLock& chain, const std::shared_ptr<VmObject>& ob
   if (released_chain != nullptr) {
     ObjectRelease(chain, std::move(released_chain));
   }
+}
+
+uint64_t VmSystem::MergeShadowPagesLocked(ObjectLock& slk, VmObject* child, VmObject* backing) {
+  const VmOffset window_lo = child->shadow_offset;
+  const VmOffset window_hi = window_lo + child->size();
+  // Merge the smaller page set into the larger. Adopting backing's table
+  // keeps its keys, so it needs a window at offset 0; any other window has
+  // every surviving page re-keyed, which costs the same as moving it.
+  const bool adopt = window_lo == 0 && child->pages.size() < backing->pages.size();
+  if (adopt) {
+    // The child's copies supersede the shadow's: find those shadow pages
+    // by walking the child's (smaller) coverage, not the shadow's pages.
+    auto drop_superseded = [&](VmOffset co) {
+      if (VmPage* page = backing->pages.Find(co); page != nullptr) {
+        PageFreeLocked(slk, page);
+      }
+    };
+    for (const VmPage* page : child->pages) {
+      drop_superseded(page->offset);
+    }
+    if (child->pager.valid()) {
+      for (VmOffset co : child->paged_offsets) {
+        drop_superseded(co);
+      }
+      for (const auto& [co, parked] : child->parked_offsets) {
+        (void)parked;
+        drop_superseded(co);
+      }
+    }
+  }
+  // Pages outside the window die with the shadow (as do superseded ones not
+  // already dropped above). Any surviving hardware mappings are read-only —
+  // from_backing resolutions never map a shadow's page writable — but drop
+  // write access defensively before the identity change.
+  backing->pages.ForEach([&](VmPage* page) {
+    if (page->offset < window_lo || page->offset >= window_hi ||
+        (!adopt && ObjectCoversOffset(child, page->offset - window_lo))) {
+      PageFreeLocked(slk, page);
+      return;
+    }
+    Pmap::PageProtect(phys_, page->frame, kVmProtRead | kVmProtExecute);
+  });
+  // Every page left in backing's table now survives into the child. The
+  // pageout scan reads a queued page's identity under queue_mu_ alone, so
+  // flip it under queue_mu_ too — once for the whole set. The survivor's
+  // resident copy is now the only one (the shadow's backing store dies with
+  // it), so each page must not be dropped clean.
+  const uint64_t moved = backing->pages.size();
+  {
+    lock_probe::Note();
+    std::lock_guard<std::mutex> g(queue_mu_);
+    for (VmPage* page : backing->pages) {
+      page->object = child;
+      page->offset -= window_lo;
+      page->dirty = true;
+    }
+  }
+  // Whichever table ends up in `backing` is the smaller (or re-keyed) set:
+  // file its pages into the child's table under their current offsets.
+  if (adopt) {
+    child->pages.swap(backing->pages);
+  }
+  for (VmPage* page : backing->pages) {
+    child->pages.Insert(page);
+  }
+  backing->pages.clear();
+  return moved;
 }
 
 size_t VmSystem::ShadowChainLength(TaskVm& task, VmOffset addr) {
@@ -794,7 +771,7 @@ void VmSystem::TrimObjectCache() {
     bool idle;
     {
       ObjectLock olk(object->mu);
-      idle = object->resident_count == 0;
+      idle = object->pages.empty();
     }
     if (object->cached && idle) {
       victims.push_back(object);

@@ -1,8 +1,10 @@
 // VmSystem: the machine-independent virtual memory system of one kernel
 // (§5). It owns:
 //
-//   * the resident page pool: the virtual-to-physical hash table (§5.3) and
-//     the active/inactive pageout queues (§5.4), over hw::PhysicalMemory;
+//   * the resident page pool: each object's resident-page table (§5.3's
+//     object/offset lookup, per object rather than one global hash: DESIGN
+//     decision 4) and the active/inactive pageout queues (§5.4), over
+//     hw::PhysicalMemory;
 //   * the memory object registry: pager port -> VmObject, including the
 //     cache of persisting objects (pager_cache, §3.4.1);
 //   * the fault handler (§5.5): validity/protection, page lookup,
@@ -30,20 +32,19 @@
 //   2. chain_mu_: shadow-chain structure (shadow pointers, shadow_children),
 //      object lifecycle (terminate / cache / registries) and map_refs
 //      decrements. Witness type: ChainLock.
-//   3. VmObject::mu (per object): the object's page list, page state, pager
-//      ports and paged/parked metadata. Chain order is child before its
-//      shadow parent (the fault walk direction), hand over hand.
-//   4. Page-hash shard locks (64 shards keyed by the splitmix64 PageKey
-//      hash): pure membership; always leaf with respect to object locks.
-//   5. queue_mu_: the active/inactive queues, queue counts, each page's
-//      queue field, and page identity while a PageRename is in flight.
+//   3. VmObject::mu (per object): the object's resident-page table, page
+//      state, pager ports and paged/parked metadata. Every page lookup
+//      holds the owner's lock. Chain order is child before its shadow
+//      parent (the fault walk direction), hand over hand.
+//   4. queue_mu_: the active/inactive queues, queue counts, each page's
+//      queue field, and page identity while a collapse relabels pages.
 //      Nests inside object locks; the pageout scan, which needs the reverse
 //      direction, only ever try_locks an object from under it. The queue
 //      tag itself is an atomic written only under this lock, so
 //      PageActivate / PageDeactivate skip the lock entirely when the tag
 //      already matches (see vm_page.h).
-//   6. Pmap::mu_ and PhysicalMemory frame/free-list locks (hardware tier).
-//   7. Port locks (independent; ports never call back into the kernel).
+//   5. Pmap::mu_ and PhysicalMemory frame/free-list locks (hardware tier).
+//   6. Port locks (independent; ports never call back into the kernel).
 //
 // Blocking operations never hold a lock they could convoy on: waits for busy
 // pages use the owning object's condition variable (targeted wakeups, §5
@@ -68,7 +69,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/hash.h"
 #include "src/base/kern_return.h"
 #include "src/base/sync.h"
 #include "src/base/vm_types.h"
@@ -266,38 +266,11 @@ class VmSystem {
  private:
   friend class VmMapCopy;
 
-  struct PageKey {
-    const VmObject* object;
-    VmOffset offset;
-    bool operator==(const PageKey& o) const {
-      return object == o.object && offset == o.offset;
-    }
-  };
-  struct PageKeyHash {
-    size_t operator()(const PageKey& k) const {
-      // Object pointers share allocator alignment and offsets are page
-      // multiples; a full-avalanche mix keeps (object, offset) keys from
-      // clustering into a few buckets (see src/base/hash.h). The same mix
-      // selects the hash shard, so shard load stays uniform.
-      return HashPointerAndU64(k.object, k.offset);
-    }
-  };
-
   // Witness types: a ChainLock proves chain_mu_ is held, an ObjectLock
   // proves some object's mu is held. Passed by reference where a callee
   // relies on the caller's lock.
   using ChainLock = std::unique_lock<std::mutex>;
   using ObjectLock = std::unique_lock<std::mutex>;
-
-  // The resident-page hash (§5.3), sharded: each shard is an independent
-  // bucket map under its own lock, and each is padded to a cache-line
-  // multiple, so concurrent faults on distinct objects touch distinct
-  // cache lines — in the shard data and in the locks themselves.
-  static constexpr size_t kPageHashShards = 64;
-  struct alignas(64) PageHashShard {
-    std::mutex mu;
-    std::unordered_map<PageKey, VmPage*, PageKeyHash> map;
-  };
 
   // A cache-line-padded atomic counter. The systemwide counters are bumped
   // from every CPU on every fault; unpadded, neighbouring counters share a
@@ -345,17 +318,15 @@ class VmSystem {
 
   // --- resident page management ---------------------------------------
 
-  PageHashShard& ShardFor(const VmObject* object, VmOffset offset) const;
-
-  // Hash probe with lookup statistics. Caller holds the owner's mu (which
-  // keeps the returned page alive and its state stable).
+  // Page-table probe with lookup statistics. Caller holds the owner's mu
+  // (which keeps the returned page alive and its state stable). Coverage
+  // checks and the optimistic fault path probe object->pages directly, so
+  // they neither skew the hit rate nor pay the two shared-counter xadds.
   VmPage* PageLookup(VmObject* object, VmOffset offset);
-  // Probe without the lookups/hits counters: coverage checks (which must
-  // not skew the hit rate) and the optimistic fault path (which trades the
-  // two shared-counter xadds for raw single-thread speed).
-  VmPage* PageLookupRaw(const VmObject* object, VmOffset offset) const;
-  // Raw membership probe without statistics (coverage checks).
-  bool PageResident(const VmObject* object, VmOffset offset) const;
+
+  // Residency probe for the kernel-mediated access paths' fault-ahead
+  // heuristic: takes and drops the owner's mu. The answer is advisory.
+  bool PageResidentNow(VmObject* object, VmOffset offset);
 
   // Allocates a frame and a resident page for (object, offset). Never
   // blocks and never reclaims inline: on exhaustion returns
@@ -363,7 +334,8 @@ class VmSystem {
   // and WaitForFreeFrames. Caller holds the owner's mu.
   Result<VmPage*> PageAllocLocked(VmObject* object, VmOffset offset, bool allow_reserve);
 
-  // Frees a resident page: unmaps, unqueues, unhashes, releases the frame.
+  // Frees a resident page: unmaps, unqueues, drops it from its object's
+  // table, releases the frame.
   // Caller holds the owner's mu (witnessed by `olk`).
   void PageFreeLocked(ObjectLock& olk, VmPage* page);
 
@@ -425,11 +397,6 @@ class VmSystem {
     size_t cap_;
     std::vector<PagePin> pins_;
   };
-
-  // Re-homes a page into `new_object` (collapse migration). Caller holds
-  // both objects' locks; identity flips under queue_mu_ so the pageout scan
-  // never sees a torn (object, offset).
-  void PageRename(VmPage* page, VmObject* new_object, VmOffset new_offset);
 
   // Blocks briefly until frames may be available again: pokes the daemon,
   // runs one reclaim pass, then waits on free_cv_ with a bounded slice.
@@ -543,14 +510,26 @@ class VmSystem {
 
   // Attempts to shorten `object`'s shadow chain, repeatedly:
   //  * splice: if the immediate shadow's only reference is `object`'s shadow
-  //    pointer, migrate its still-needed pages into `object` and splice it
-  //    out of the chain;
+  //    pointer, merge its still-needed pages into `object`
+  //    (MergeShadowPagesLocked) and splice it out of the chain;
   //  * bypass: if `object` itself covers every offset it could fault on, drop
   //    the whole remaining chain.
   // Caller holds chain_mu_ only; object locks are taken child-then-parent
   // inside. Declines — counting collapse_denied — whenever a busy or pinned
   // page or unaccounted pager-held data makes the splice unsafe.
   void TryCollapse(ChainLock& chain, const std::shared_ptr<VmObject>& object);
+
+  // The splice's page work: every page of `backing` (child's immediate
+  // shadow) that `child` can still read through its window is re-homed into
+  // `child` — write-protected, relabelled to the child's offset under one
+  // queue_mu_ acquisition, and marked dirty — and every other page of
+  // `backing` is freed. The smaller page set merges into the larger: when
+  // the child holds fewer pages and its window starts at offset 0, it
+  // adopts backing's whole table (swap) and only its own pages are
+  // re-inserted, so the table work is O(child) instead of O(backing).
+  // Caller holds both objects' locks (`slk` holds backing's) and has ruled
+  // out unstable pages. Returns the number of pages re-homed.
+  uint64_t MergeShadowPagesLocked(ObjectLock& slk, VmObject* child, VmObject* backing);
 
   // Whether `object` holds data for `offset` without consulting its shadow:
   // a resident page, a default-pager copy (paged_offsets), or a §6.2.2
@@ -567,6 +546,9 @@ class VmSystem {
   // --- pageout ------------------------------------------------------------
 
   void PageoutDaemonMain();
+  // Deactivates the oldest active pages until about a third of the in-use
+  // pool is inactive. Caller holds queue_mu_.
+  void AgeQueuesLocked();
   // Frees up to `want` frames from the inactive queue; returns the number
   // freed. Takes queue_mu_ and object locks (try_lock) internally; no locks
   // held on entry.
@@ -634,10 +616,7 @@ class VmSystem {
   // comment for the full order).
   mutable std::mutex chain_mu_;
 
-  // Tier 4: the sharded resident-page hash.
-  mutable std::array<PageHashShard, kPageHashShards> page_shards_;
-
-  // Tier 5: pageout queues and page queue-membership. The alignas walls the
+  // Tier 4: pageout queues and page queue-membership. The alignas walls the
   // queue word group (mutex + heads + counts) off from neighbouring members
   // so fault-path activations and free-list traffic do not false-share.
   alignas(64) mutable std::mutex queue_mu_;
@@ -677,6 +656,13 @@ class VmSystem {
   TrustedParkingStore* parking_ = nullptr;
 
   mutable Counters counters_;
+
+  // Back-pointer from each allocated frame to the VmPage that owns it (the
+  // analogue of Mach's vm_page_array, indexed by physical page). Written
+  // under the owning object's lock when a page is allocated or freed; read
+  // only by the destructor's leaked-page sweep, which finds every resident
+  // page through it without any global page table.
+  std::vector<VmPage*> frame_pages_;
 
   // Cap on pins a PinBatch may hold at once; sized against the frame pool
   // in the constructor so batched pins can never starve reclaim in

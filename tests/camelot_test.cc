@@ -276,6 +276,45 @@ TEST_F(CamelotTest, WalForceFailureDefersWholeClusteredRunAndServesRereads) {
   }
 }
 
+TEST_F(CamelotTest, CommitFailsLoudlyWhenTheLogCannotBeForced) {
+  // A commit whose record cannot be forced is not durable: Commit() must
+  // report the failure, and a crash must not resurrect the transaction.
+  {
+    RecoverableSegment seg =
+        RecoverableSegment::Map(rm_.get(), task_.get(), "acct3", kPage).value();
+    Transaction setup(rm_.get());
+    uint64_t v = 100;
+    ASSERT_EQ(setup.Write(seg, 0, &v, sizeof(v)), KernReturn::kSuccess);
+    ASSERT_EQ(setup.Commit(), KernReturn::kSuccess);
+
+    FaultInjector inj(13);
+    inj.SetProbability(SimDisk::kFaultWrite, 1.0);
+    log_disk_->set_fault_injector(&inj);
+    Transaction doomed(rm_.get());
+    uint64_t bad = 666;
+    ASSERT_EQ(doomed.Write(seg, 0, &bad, sizeof(bad)), KernReturn::kSuccess);
+    EXPECT_NE(doomed.Commit(), KernReturn::kSuccess);
+    EXPECT_GT(rm_->io_error_count() + inj.Injected(SimDisk::kFaultWrite), 0u);
+    log_disk_->set_fault_injector(nullptr);
+    rm_->SimulateCrash();
+    task_.reset();
+    kernel_.reset();
+  }
+  Kernel::Config config;
+  config.frames = 96;
+  config.page_size = kPage;
+  config.disk_latency = DiskLatencyModel{0, 0};
+  kernel_ = std::make_unique<Kernel>(config);
+  rm_ = std::make_unique<RecoveryManager>(data_disk_.get(), log_disk_.get(), kPage);
+  rm_->Start();
+  rm_->Recover();
+  task_ = kernel_->CreateTask(nullptr, "rebooted");
+  RecoverableSegment seg =
+      RecoverableSegment::Map(rm_.get(), task_.get(), "acct3", kPage).value();
+  // Only the transaction whose commit succeeded survives.
+  EXPECT_EQ(task_->ReadValue<uint64_t>(seg.base()).value(), 100u);
+}
+
 TEST_F(CamelotTest, CrashRecoveryRedoesCommittedTransactions) {
   {
     RecoverableSegment seg =

@@ -507,5 +507,109 @@ TEST(VmConcurrentTest, OptimisticLookupSurvivesRegionChurn) {
   ExpectTeardownToBaseline(*kernel, free_baseline);
 }
 
+TEST(VmConcurrentTest, ForkExitCollapseRacesOptimisticFaultsAndPageout) {
+  // One thread forks children of a 512-page parent and lets each exit, so
+  // every exit splices the parent's old top object into its current shadow
+  // — usually by adopting the old object's whole page table. Meanwhile three
+  // threads re-fault the parent's heap through the optimistic tier and
+  // write to it (each page has one writer), and the frame budget keeps
+  // reclaim paging out throughout — the regime that once wedged the kernel
+  // when copy-on-write sources settled in a backing object were left off
+  // every pageout queue. Oracles: each writer's exact model of its own
+  // pages; each child's snapshot (a value its page's writer wrote, never
+  // older than the last write finished before the fork, never newer than
+  // the last one begun); and every frame back in the pool after teardown.
+  constexpr int kHeap = 512;
+  constexpr int kFaulters = 3;
+  constexpr int kForks = 64;
+  auto kernel = MakeKernel(520);  // Below the working set's peak: pageout runs.
+  const uint64_t free_baseline = kernel->phys().free_frames();
+  auto parent = kernel->CreateTask(nullptr, "fork-parent");
+  const VmOffset base = parent->VmAllocate(VmSize{kHeap} * kPage).value();
+  auto value = [](uint64_t page, uint64_t seq) { return page << 32 | seq; };
+  // Per page: the newest sequence number a write has begun (`begun`) and
+  // finished (`done`) with; the page's writer bumps `begun` before writing.
+  std::vector<std::atomic<uint64_t>> begun(kHeap);
+  std::vector<std::atomic<uint64_t>> done(kHeap);
+  for (uint64_t p = 0; p < kHeap; ++p) {
+    ASSERT_EQ(parent->WriteValue<uint64_t>(base + p * kPage, value(p, 1)), KernReturn::kSuccess);
+    begun[p] = 1;
+    done[p] = 1;
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kFaulters; ++t) {
+    workers.emplace_back([&, t] {
+      uint64_t iter = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        // Page p belongs to faulter p % kFaulters.
+        const uint64_t p = t + kFaulters * (iter * 7 % (kHeap / kFaulters));
+        const VmOffset addr = base + p * kPage;
+        // Drop the translation so the read is a real re-fault: through the
+        // optimistic tier whenever the page is resident in the top object.
+        parent->vm_context().pmap->Remove(addr, addr + kPage);
+        Result<uint64_t> got = parent->ReadValue<uint64_t>(addr);
+        if (!got.ok() || got.value() != value(p, done[p].load())) {
+          ++errors;
+        }
+        if (++iter % 3 == 0) {
+          const uint64_t seq = done[p].load() + 1;
+          begun[p].store(seq);
+          if (parent->WriteValue<uint64_t>(addr, value(p, seq)) != KernReturn::kSuccess) {
+            ++errors;
+          }
+          done[p].store(seq);
+        }
+      }
+    });
+  }
+  workers.emplace_back([&] {
+    std::vector<uint64_t> floor(kHeap);
+    for (int f = 0; f < kForks; ++f) {
+      for (uint64_t p = 0; p < kHeap; ++p) {
+        floor[p] = done[p].load();
+      }
+      auto child = kernel->CreateTask(parent, "fork-child");
+      for (uint64_t i = 0; i < 16; ++i) {
+        const uint64_t p = (f * 131 + i * 37) % kHeap;
+        Result<uint64_t> got = child->ReadValue<uint64_t>(base + p * kPage);
+        const uint64_t seq = got.ok() ? got.value() & 0xFFFF'FFFF : 0;
+        if (!got.ok() || got.value() >> 32 != p || seq < floor[p] || seq > begun[p].load()) {
+          ++errors;
+        }
+      }
+      for (uint64_t i = 0; i < 4; ++i) {  // The child's own copies die with it.
+        const VmOffset addr = base + ((f * 17 + i * 97) % kHeap) * kPage;
+        if (child->WriteValue<uint64_t>(addr, ~uint64_t{0}) != KernReturn::kSuccess ||
+            child->ReadValue<uint64_t>(addr).value() != ~uint64_t{0}) {
+          ++errors;
+        }
+      }
+    }  // The last child exits here.
+    stop.store(true);
+  });
+  for (auto& w : workers) {
+    w.join();
+  }
+  EXPECT_EQ(errors.load(), 0);
+
+  // Single-threaded oracle pass through the object layer (no pmap).
+  for (uint64_t p = 0; p < kHeap; ++p) {
+    uint64_t got = 0;
+    ASSERT_EQ(kernel->vm().ReadMemory(parent->vm_context(), base + p * kPage, &got, sizeof(got)),
+              KernReturn::kSuccess);
+    ASSERT_EQ(got, value(p, done[p].load())) << "page " << p;
+  }
+  VmStatistics stats = kernel->vm().Statistics();
+  EXPECT_GT(stats.shadow_collapses, 0u);
+  EXPECT_GT(stats.map_lookups_optimistic, 0u);
+  EXPECT_GT(stats.pageouts, 0u) << "no reclaim ran";
+
+  parent.reset();
+  ExpectTeardownToBaseline(*kernel, free_baseline);
+}
+
 }  // namespace
 }  // namespace mach
