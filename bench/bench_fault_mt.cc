@@ -27,14 +27,6 @@ constexpr VmSize kPage = 4096;
 constexpr int kPagesPerThread = 2048;
 constexpr int kMaxThreads = 8;
 
-std::unique_ptr<Kernel> MakeKernel(uint32_t frames) {
-  Kernel::Config config;
-  config.frames = frames;
-  config.page_size = kPage;
-  config.disk_latency = DiskLatencyModel{0, 0};
-  return std::make_unique<Kernel>(config);
-}
-
 // Shared across the threads of one benchmark run. Thread 0 sets up before
 // the first iteration barrier and tears down after the last.
 struct MtState {
@@ -45,13 +37,31 @@ struct MtState {
 };
 MtState g_mt;
 
+// A kernel with frames for `pages` resident pages and enough headroom that
+// free memory never drops below the pageout target (frames / 8): reclaim
+// never runs, so every arm times faults, not paging.
+std::unique_ptr<Kernel> MakeKernel(uint32_t pages) {
+  Kernel::Config config;
+  config.frames = pages + pages / 4 + 1024;
+  config.page_size = kPage;
+  config.disk_latency = DiskLatencyModel{0, 0};
+  return std::make_unique<Kernel>(config);
+}
+
+// Fails the run if the kernel paged anything out: the arm was sized so
+// reclaim never runs, and a run that paged measured the pager instead.
+void FailIfPaged(benchmark::State& state) {
+  if (g_mt.kernel->vm().Statistics().pageouts != 0) {
+    state.SkipWithError("pageout ran: the arm measured paging, not faults");
+  }
+}
+
 // Zero-fill faults in disjoint regions of one task map: the no-sharing
 // case. Aggregate items/s across threads is the scaling headline.
 void BM_FaultMtDisjointZeroFill(benchmark::State& state) {
   const VmSize region = VmSize{kPagesPerThread} * kPage;
   if (state.thread_index() == 0) {
-    // Frames for every thread's pages plus slack so reclaim never runs.
-    g_mt.kernel = MakeKernel(kMaxThreads * kPagesPerThread + 1024);
+    g_mt.kernel = MakeKernel(kMaxThreads * kPagesPerThread);
     g_mt.task = g_mt.kernel->CreateTask();
     g_mt.base = g_mt.task->VmAllocate(VmSize{kMaxThreads} * region).value();
   }
@@ -63,6 +73,7 @@ void BM_FaultMtDisjointZeroFill(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
+    FailIfPaged(state);
     g_mt.task.reset();
     g_mt.kernel.reset();
   }
@@ -74,7 +85,8 @@ void BM_FaultMtDisjointZeroFill(benchmark::State& state) {
 void BM_FaultMtSharedCow(benchmark::State& state) {
   const VmSize region = VmSize{kPagesPerThread} * kPage;
   if (state.thread_index() == 0) {
-    g_mt.kernel = MakeKernel(2 * kMaxThreads * kPagesPerThread + 1024);
+    // The parent's pages plus one private copy of each.
+    g_mt.kernel = MakeKernel(2 * kMaxThreads * kPagesPerThread);
     g_mt.task = g_mt.kernel->CreateTask();
     g_mt.base = g_mt.task->VmAllocate(VmSize{kMaxThreads} * region).value();
     std::vector<uint8_t> init(VmSize{kMaxThreads} * region, 0x7);
@@ -92,6 +104,7 @@ void BM_FaultMtSharedCow(benchmark::State& state) {
     VmStatistics stats = g_mt.kernel->vm().Statistics();
     state.counters["cow_faults"] = static_cast<double>(stats.cow_faults);
     state.counters["spurious_wakeups"] = static_cast<double>(stats.spurious_page_wakeups);
+    FailIfPaged(state);
     g_mt.child.reset();
     g_mt.task.reset();
     g_mt.kernel.reset();
@@ -104,7 +117,7 @@ void BM_FaultMtSharedCow(benchmark::State& state) {
 void BM_FaultMtSharedRead(benchmark::State& state) {
   const VmSize region = VmSize{kPagesPerThread} * kPage;
   if (state.thread_index() == 0) {
-    g_mt.kernel = MakeKernel(2 * kPagesPerThread + 1024);
+    g_mt.kernel = MakeKernel(kPagesPerThread);
     g_mt.task = g_mt.kernel->CreateTask();
     g_mt.base = g_mt.task->VmAllocate(region).value();
     std::vector<uint8_t> init(region, 0x5);
@@ -126,6 +139,7 @@ void BM_FaultMtSharedRead(benchmark::State& state) {
   if (state.thread_index() == 0) {
     VmStatistics stats = g_mt.kernel->vm().Statistics();
     state.counters["fast_faults"] = static_cast<double>(stats.fast_faults);
+    FailIfPaged(state);
     g_mt.task.reset();
     g_mt.kernel.reset();
   }

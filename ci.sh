@@ -2,9 +2,9 @@
 # CI entry point: tier-1 verification plus an optional sanitizer pass.
 #
 #   ./ci.sh            # tier-1: configure, build, ctest, plus the IPC
-#                      # port/right suites and the fault-ahead suites re-run
-#                      # under ASan with leak detection (cycle reclamation
-#                      # and speculative-placeholder sweeps must be leak-clean)
+#                      # port/right suites and the fault-ahead and fault-exit
+#                      # suites re-run under ASan with leak detection (cycle
+#                      # reclamation and placeholder frees must be leak-clean)
 #   ./ci.sh asan       # tier-1 under ASan+UBSan (-DMACH_SANITIZE=address)
 #   ./ci.sh tsan       # VM/IPC concurrency suites under ThreadSanitizer
 #   ./ci.sh all        # all of the above, sequentially
@@ -23,36 +23,29 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure -j "$jobs"
 }
 
-# The port-GC and no-senders machinery is only proven correct if reclaiming
-# queue cycles frees every byte: run the IPC suites leak-checked even in the
-# fast lane.
-ipc_leak_lane() {
+# The leak-checked part of the fast lane, one ASan build for all of it:
+#  * the IPC suites: the port-GC and no-senders machinery is only proven
+#    correct if reclaiming queue cycles frees every byte;
+#  * the fault paths that free placeholder pages on early exits: fault-ahead's
+#    speculative runs (partial provide, pager death, teardown) and the
+#    fault-exit suites (failed sends, object death mid-request, failed shadow
+#    copies), so an unreleased placeholder or message buffer cannot land
+#    silently.
+leak_lane() {
   export UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1}
   export ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1}
   cmake -B build-asan -S . -DMACH_SANITIZE=address
-  cmake --build build-asan -j "$jobs" --target ipc_test ipc_property_test
+  cmake --build build-asan -j "$jobs" --target ipc_test ipc_property_test vm_test pager_test
   ctest --test-dir build-asan --output-on-failure -j "$jobs" -R '^(ipc_test|ipc_property_test)$'
-}
-
-# The fault-ahead read path allocates speculative placeholder pages that the
-# faulter's sweep must free on every early exit (partial provide, pager
-# death, teardown): run its suites leak-checked in the fast lane so an
-# unreleased placeholder or message buffer cannot land silently.
-fault_ahead_leak_lane() {
-  export UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1}
-  export ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1}
-  cmake -B build-asan -S . -DMACH_SANITIZE=address
-  cmake --build build-asan -j "$jobs" --target vm_test pager_test
   ./build-asan/tests/vm_test --gtest_filter='FaultAheadTest.*'
-  ./build-asan/tests/pager_test --gtest_filter='FaultAheadPagerTest.*:PagerProtocolValidationTest.*:ExternalPagerTest.ForgedOversizeDataRequestIsRejectedAtTheWire'
+  ./build-asan/tests/pager_test --gtest_filter='FaultAheadPagerTest.*:PagerProtocolValidationTest.*:ExternalPagerTest.ForgedOversizeDataRequestIsRejectedAtTheWire:ExternalPagerTest.VmWriteWaitsOutAManagerLock:FaultExitTest.*:UnavailableOverShadowTest.*:DefaultPagerRequestTest.*'
 }
 
 mode=${1:-tier1}
 case "$mode" in
   tier1)
     run_suite build
-    ipc_leak_lane
-    fault_ahead_leak_lane
+    leak_lane
     ;;
   asan)
     # Chaos and soak tests allocate aggressively; keep ASan strict but let

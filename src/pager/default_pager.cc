@@ -29,6 +29,7 @@ void DefaultPager::OnCreate(uint64_t adopted_port_id, PagerCreateArgs args) {
 
 void DefaultPager::OnDataRequest(uint64_t object_port_id, uint64_t cookie,
                                  PagerDataRequestArgs args) {
+  requests_.fetch_add(1, std::memory_order_relaxed);
   const VmSize page = disk_->block_size();
   // A multi-page (fault-ahead) request is answered with the minimal number
   // of messages: the builder coalesces contiguous provides and contiguous

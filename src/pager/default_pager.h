@@ -43,6 +43,8 @@ class DefaultPager : public DataManager, public TrustedParkingStore {
   void Discard(uint64_t object_id) override;
 
   // Statistics.
+  // pager_data_request messages received (each may cover a run of pages).
+  uint64_t request_count() const { return requests_.load(std::memory_order_relaxed); }
   uint64_t pagein_count() const { return pageins_.load(std::memory_order_relaxed); }
   uint64_t pageout_count() const { return pageouts_.load(std::memory_order_relaxed); }
   // Backing-store I/O failures (injected or bad-block). A failed read is
@@ -84,6 +86,7 @@ class DefaultPager : public DataManager, public TrustedParkingStore {
   std::unordered_map<uint64_t, uint64_t> request_to_object_;
   std::unordered_map<BackingKey, std::vector<std::byte>, BackingKeyHash> parked_;
 
+  std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> pageins_{0};
   std::atomic<uint64_t> pageouts_{0};
   std::atomic<uint64_t> backing_errors_{0};

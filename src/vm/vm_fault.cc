@@ -8,11 +8,38 @@
 // parent), and installs the frame into the pmap under the map shared lock
 // while holding only a pin on the page. Waits for busy pages block on the
 // owning object's condition variable — targeted wakeups, not a global poll.
+//
+// The page walk (ResolvePage) is a loop of passes over named phases. Each
+// pass starts at the top object with its lock held and runs the chain walk,
+// which hands the fault to the phase that can settle it:
+//
+//   1. chain walk (WalkChain, UsePage): look the page up in each object of
+//      the shadow chain, descending hand over hand, until an object holds
+//      the page, its pager must be asked, or the chain ends;
+//   2. busy wait (AwaitPage): the page is in transit for another thread, or
+//      its manager's lock forbids this access and an unlock is requested;
+//   3. pager request (RequestPage, AwaitPlaceholder): a placeholder plus a
+//      fault-ahead run of speculative neighbours, one pager_data_request,
+//      and the wait for the answer;
+//   4. COW copy (CopyOnWrite): a write that found the page in a backing
+//      object pushes a private copy into the top object;
+//   5. settle / zero fill (Unpark, SettleUnavailable, ZeroFillAtCursor):
+//      parked data comes back, a pager's "unavailable" is rebuilt from the
+//      shadow or zeroed, and a chain with no data zero-fills in the top
+//      object.
+//
+// Step contract: a phase is entered with `w.olk` holding `w.object`'s mu and
+// returns one FaultStep: kDone with the page pinned; kRescan (start over from
+// the top, because a lock was dropped and the world may have changed);
+// kNeedFrames (the same, after waiting for free frames); or kFail with the
+// fault's verdict. A phase may return with `w.olk` held or released, and
+// never with a placeholder it owns still busy.
 
 #include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "src/base/lock_probe.h"
@@ -110,6 +137,69 @@ KernReturn VmSystem::PrepareEntry(TaskVm& task, VmOffset addr, VmProt access) {
   return KernReturn::kSuccess;
 }
 
+Result<VmSystem::EntryTarget> VmSystem::ResolveEntry(TaskVm& task, VmOffset page_addr,
+                                                     VmProt access, bool install) {
+  for (;;) {
+    lock_probe::Note();
+    std::shared_lock<std::shared_mutex> map_lock(task.map->lock());
+    if (install && !task.map->snapshot_current()) {
+      // Refresh the published snapshot while we are here anyway: under the
+      // shared lock the generation is stable (mutators take it exclusive),
+      // so concurrent publishers race benignly toward identical snapshots.
+      task.map->PublishSnapshot();
+    }
+    Result<EntryRef> re = LookupEntry(task, page_addr, access);
+    if (!re.ok()) {
+      return re.status();
+    }
+    EntryRef& entry = re.value();
+    if (entry.needs_prepare) {
+      entry.share_lock = {};
+      map_lock.unlock();
+      KernReturn kr = PrepareEntry(task, page_addr, access);
+      if (!IsOk(kr)) {
+        return kr;
+      }
+      continue;  // Re-resolve with the entry prepared.
+    }
+    EntryTarget target;
+    target.object = entry.holder->object;
+    target.offset = TruncPage(entry.object_offset, page_size());
+    // Probe the page while the map lock still pins the entry (map shared →
+    // object → queues → pmap is the documented order).
+    lock_probe::Note();
+    ObjectLock olk(target.object->mu);
+    VmPage* page = PageLookup(target.object.get(), target.offset);
+    if (page == nullptr) {
+      // A true miss (not even a placeholder): feed the sequentiality
+      // detector while the holder pointer is still valid. Re-faults on pages
+      // fault-ahead already brought in don't count — only run *starts*
+      // advance the detector, which keeps the window doubling across a scan.
+      target.fa_window = ComputeFaultAheadWindow(entry.holder, target.offset);
+    } else if (install && page->settled()) {
+      // Fast path: a settled page resident in the entry's own object is
+      // installed in this same critical section. The object lock keeps the
+      // page stable across the pmap update, so no pin and no second map
+      // lookup are needed. Anything unsettled, locked against this access
+      // or with a copy pending on a write goes on to ResolvePage.
+      page->readahead = false;  // First demand touch.
+      VmProt prot = entry.top->protection;
+      if (entry.holder->needs_copy) {
+        prot &= ~kVmProtWrite;
+      }
+      prot &= ~page->page_lock;
+      if ((access & ~prot) == 0) {
+        task.pmap->Enter(page_addr, page->frame, prot);
+        PageActivate(page);
+        counters_.fast_faults.fetch_add(1, std::memory_order_relaxed);
+        counters_.faults.fetch_add(1, std::memory_order_relaxed);
+        target.installed = true;
+      }
+    }
+    return target;
+  }
+}
+
 // --- adaptive fault-ahead ---------------------------------------------------
 
 uint32_t VmSystem::ComputeFaultAheadWindow(MapEntry* holder, VmOffset object_offset) {
@@ -181,17 +271,6 @@ void VmSystem::UnpinPage(PagePin& pin) {
   pin.owner.reset();
 }
 
-void VmSystem::UnpinRaw(const std::shared_ptr<VmObject>& owner, VmPage* page) {
-  lock_probe::Note();
-  ObjectLock olk(owner->mu);
-  assert(page->pin_count > 0);
-  --page->pin_count;
-  if (page->pin_count == 0 && !owner->alive) {
-    PageFreeLocked(olk, page);
-  }
-  owner->cv.notify_all();
-}
-
 // --- pager interaction ------------------------------------------------------
 
 bool VmSystem::WaitForPage(ObjectLock& olk, VmObject* object,
@@ -203,497 +282,417 @@ bool VmSystem::WaitForPage(ObjectLock& olk, VmObject* object,
   return SteadyClock::now() < deadline;
 }
 
-KernReturn VmSystem::RequestDataFromPager(ObjectLock& olk,
-                                          const std::shared_ptr<VmObject>& object,
-                                          VmOffset offset, VmSize length, VmProt access) {
-  PagerDataRequestArgs args;
-  args.pager_request_port = object->request_send;
-  args.offset = offset;
-  args.length = length;
-  args.desired_access = access;
-  Message msg = EncodePagerDataRequest(args);
-  SendRight pager = object->pager;
+KernReturn VmSystem::SendToPager(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
+                                 Message msg) {
   // A manager whose queue stays full for the whole fault-wait budget is an
   // unresponsive manager (§6.1): bound the send by the same policy timeout.
   Timeout send_timeout = std::chrono::milliseconds(2000);
   if (config_.pager_timeout.has_value() && *config_.pager_timeout < *send_timeout) {
     send_timeout = config_.pager_timeout;
   }
+  SendRight pager = object->pager;
   ScopedUnlock unlock(olk);
   return MsgSend(pager, std::move(msg), send_timeout);
 }
 
-KernReturn VmSystem::RequestUnlockFromPager(ObjectLock& olk,
-                                            const std::shared_ptr<VmObject>& object,
-                                            VmPage* page, VmProt access) {
-  if (page->unlock_pending) {
-    return KernReturn::kSuccess;  // Already asked; just wait.
+bool VmSystem::SettleByPolicyLocked(VmPage* page) {
+  if (config_.on_pager_timeout != Config::OnPagerTimeout::kZeroFill) {
+    return false;
   }
-  page->unlock_pending = true;
-  counters_.unlock_requests.fetch_add(1, std::memory_order_relaxed);
-  PagerDataUnlockArgs args;
-  args.pager_request_port = object->request_send;
-  args.offset = page->offset;
-  args.length = page_size();
-  args.desired_access = access;
-  Message msg = EncodePagerDataUnlock(args);
-  SendRight pager = object->pager;
-  ScopedUnlock unlock(olk);
-  return MsgSend(pager, std::move(msg), std::chrono::milliseconds(2000));
+  ZeroFill(page);
+  phys_->ClearModify(page->frame);
+  phys_->ClearReference(page->frame);
+  page->busy = false;
+  page->absent = false;
+  page->unavailable = false;
+  page->dirty = true;  // No backing copy of the zeroes exists.
+  return true;
 }
 
 // --- the page walk ----------------------------------------------------------
+
+// One ResolvePage call: the fault's parameters, its retry state, and the
+// cursor: the chain object the walk has reached (`object`, whose mu `olk`
+// holds between phases) and the page's offset in it.
+struct VmSystem::FaultWalk {
+  std::shared_ptr<VmObject> first_object;
+  VmOffset first_offset;
+  VmProt fault_type;
+  uint32_t fa_window;
+  SteadyClock::time_point deadline = SteadyClock::time_point::max();
+  bool first_probe = true;
+  int shortage_rounds = 0;
+  std::shared_ptr<VmObject> object{};
+  VmOffset offset = 0;
+  ObjectLock olk{};
+
+  // After enough frame-shortage rounds a fault may dip into the reserve
+  // (§6.2.3), so the fault that *frees* memory can always complete.
+  bool allow_reserve() const { return shortage_rounds >= 100; }
+
+  // Moves the cursor, and the lock, to the top object. The current lock goes
+  // first: the cursor may sit at an ancestor, and child-before-parent order
+  // forbids taking the top object's lock while holding it.
+  void MoveToTop() {
+    olk = ObjectLock();
+    lock_probe::Note();
+    olk = ObjectLock(first_object->mu);
+    object = first_object;
+    offset = first_offset;
+  }
+};
+
+// What a phase tells ResolvePage's loop to do next (the step contract in the
+// file comment).
+struct VmSystem::FaultStep {
+  enum class Kind { kDone, kRescan, kNeedFrames, kFail };
+  Kind kind;
+  KernReturn verdict = KernReturn::kSuccess;  // kFail only.
+  PagePin pin{};                              // kDone only.
+
+  static FaultStep Done(PagePin pin) {
+    return {Kind::kDone, KernReturn::kSuccess, std::move(pin)};
+  }
+  static FaultStep Rescan() { return {Kind::kRescan}; }
+  static FaultStep Fail(KernReturn verdict) { return {Kind::kFail, verdict}; }
+  // A failed PageAllocLocked: another thread filled the slot (rescan and use
+  // its page), or frames ran short.
+  static FaultStep AllocFailed(KernReturn status) {
+    return {status == KernReturn::kMemoryPresent ? Kind::kRescan : Kind::kNeedFrames};
+  }
+};
 
 Result<VmSystem::PagePin> VmSystem::ResolvePage(std::shared_ptr<VmObject> first_object,
                                                 VmOffset first_offset, VmProt fault_type,
                                                 uint32_t fa_window) {
   assert(first_offset % page_size() == 0);
-  // Deadline for data-manager interactions (§6.2.1 failure options).
-  SteadyClock::time_point deadline = SteadyClock::time_point::max();
+  FaultWalk w{std::move(first_object), first_offset, fault_type, fa_window};
   if (config_.pager_timeout.has_value()) {
-    deadline = SteadyClock::now() + *config_.pager_timeout;
+    // Deadline for data-manager interactions (§6.2.1 failure options).
+    w.deadline = SteadyClock::now() + *config_.pager_timeout;
   }
+  for (;; w.first_probe = false) {  // Each pass is one full rescan from the top.
+    w.MoveToTop();
+    FaultStep step = WalkChain(w);
+    w.olk = ObjectLock();  // Between passes no lock is held.
+    switch (step.kind) {
+      case FaultStep::Kind::kDone:
+        return std::move(step.pin);
+      case FaultStep::Kind::kFail:
+        return step.verdict;
+      case FaultStep::Kind::kRescan:
+        break;
+      case FaultStep::Kind::kNeedFrames:
+        // Frame shortage below the reserved floor: with every lock dropped,
+        // help reclaim and retry.
+        if (++w.shortage_rounds > 100) {
+          return KernReturn::kResourceShortage;
+        }
+        WaitForFreeFrames();
+        break;
+    }
+  }
+}
 
-  bool first_probe = true;
-  int shortage_rounds = 0;
-  for (;;) {  // Each iteration is one full rescan from the top object.
-    std::shared_ptr<VmObject> object = first_object;
-    VmOffset offset = first_offset;
-    uint64_t depth = 1;
-    lock_probe::Note();
-    ObjectLock olk(object->mu);
-    bool rescan = false;
-    bool need_frames = false;
-    while (!rescan && !need_frames) {
-      // Invariant here: olk holds object->mu.
-      VmPage* page = PageLookup(object.get(), offset);
-      if (page != nullptr) {
-        // A faulting thread has reached this page: whatever happens next
-        // (wait, settle, pin), the speculation paid off.
-        page->readahead = false;
-        if (page->busy) {
-          // In transit on behalf of another thread; wait for a state change
-          // and rescan from the top (the pointer may dangle after a wake —
-          // the owning thread may have freed or renamed it).
-          if (!WaitForPage(olk, object.get(), deadline)) {
-            return KernReturn::kMemoryFailure;
-          }
-          if (VmPage* p2 = PageLookup(object.get(), offset); p2 != nullptr && p2->busy) {
-            counters_.spurious_page_wakeups.fetch_add(1, std::memory_order_relaxed);
-          }
-          rescan = true;
-          continue;
-        }
-        if (page->error) {
-          return KernReturn::kMemoryError;
-        }
-        if (page->unavailable) {
-          // The data manager has no data for this page: copy from the
-          // shadow if there is one, else fill with zeros (footnote 6).
-          if (object->shadow != nullptr) {
-            page->busy = true;  // Own the placeholder across the recursion.
-            std::shared_ptr<VmObject> backing_obj = object->shadow;
-            VmOffset backing_off = offset + object->shadow_offset;
-            Result<PagePin> backing = KernReturn::kFailure;
-            {
-              ScopedUnlock unlock(olk);
-              backing = ResolvePage(backing_obj, backing_off, kVmProtRead);
-            }
-            // We own the busy placeholder: even on failure, we must settle
-            // it ourselves (nobody else may touch a busy page).
-            if (!object->alive) {
-              if (backing.ok()) {
-                UnpinPage(backing.value());
-              }
-              PageFreeLocked(olk, page);
-              object->cv.notify_all();
-              return KernReturn::kMemoryFailure;
-            }
-            if (!backing.ok()) {
-              page->busy = false;
-              page->error = true;
-              object->cv.notify_all();
-              return backing.status();
-            }
-            phys_->CopyFrame(backing.value().page->frame, page->frame);
-            UnpinPage(backing.value());
-            page->busy = false;
-          } else {
-            phys_->ZeroFrame(page->frame);
-            counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
-          }
-          page->unavailable = false;
-          page->absent = false;
-          object->cv.notify_all();
-        }
-        if (page->queue.load(std::memory_order_relaxed) == VmPage::Queue::kNone) {
-          // Every settled resident page belongs on a pageout queue. Pages
-          // settled in place — a pager verdict, unparked data, zero fill on
-          // a dead or silent pager — are first seen here, on the rescan. A
-          // copy-on-write source settled in a backing object is never
-          // activated by the install below, and off every queue it could
-          // never be reclaimed.
-          PageActivate(page);
-        }
-        if (object == first_object) {
-          // Found in the top object. Honour any data-manager lock.
-          if ((fault_type & page->page_lock) != 0 && object->pager.valid()) {
-            KernReturn kr = RequestUnlockFromPager(olk, object, page, fault_type);
-            if (!IsOk(kr) && kr != KernReturn::kSuccess) {
-              return KernReturn::kMemoryFailure;
-            }
-            // The lock was dropped across the send; the page pointer is
-            // stale. Wait for the unlock to land, then rescan.
-            if (!WaitForPage(olk, object.get(), deadline)) {
-              return KernReturn::kMemoryFailure;
-            }
-            rescan = true;
-            continue;
-          }
-          if (first_probe) {
-            // Settled page in the top object on the very first probe — the
-            // fast path collapse funnels long-lived fork survivors into.
-            counters_.fast_faults.fetch_add(1, std::memory_order_relaxed);
-          }
-          return MakePinLocked(olk, object, page, /*from_backing=*/false);
-        }
-        // Found in a backing (shadow ancestor) object.
-        if ((fault_type & kVmProtWrite) != 0) {
-          // Copy-on-write: push a private copy into the top object. Pin the
-          // backing page so it survives while we drop its lock and lock the
-          // top object (child-before-parent order forbids holding both the
-          // other way, and we are at the parent now).
-          ++page->pin_count;
-          std::shared_ptr<VmObject> backing_owner = object;
-          olk.unlock();
-          lock_probe::Note();
-          ObjectLock top_lk(first_object->mu);
-          Result<VmPage*> np =
-              PageAllocLocked(first_object.get(), first_offset, shortage_rounds >= 100);
-          if (!np.ok()) {
-            top_lk.unlock();
-            UnpinRaw(backing_owner, page);
-            if (np.status() == KernReturn::kMemoryPresent) {
-              rescan = true;  // Another thread won the slot; use its page.
-            } else {
-              need_frames = true;
-            }
-            lock_probe::Note();
-            olk = ObjectLock(first_object->mu);  // Re-establish the invariant.
-            object = first_object;
-            offset = first_offset;
-            continue;
-          }
-          phys_->CopyFrame(page->frame, np.value()->frame);
-          np.value()->dirty = true;
-          counters_.cow_faults.fetch_add(1, std::memory_order_relaxed);
-          PagePin pin = MakePinLocked(top_lk, first_object, np.value(), /*from_backing=*/false);
-          first_object->cv.notify_all();
-          top_lk.unlock();
-          UnpinRaw(backing_owner, page);
-          return pin;
-        }
-        return MakePinLocked(olk, object, page, /*from_backing=*/true);
+VmSystem::FaultStep VmSystem::WalkChain(FaultWalk& w) {
+  uint64_t depth = 1;
+  for (;;) {
+    if (VmPage* page = PageLookup(w.object.get(), w.offset); page != nullptr) {
+      return UsePage(w, page);
+    }
+    if (w.object->pager.valid()) {
+      // §6.2.2: data parked with the default pager takes precedence over
+      // asking the (possibly errant) manager, and a dead manager's verdict
+      // comes before asking whether its pager could hold the page at all.
+      if (std::optional<FaultStep> step = Unpark(w)) {
+        return std::move(*step);
       }
-
-      // Not resident in `object`.
-      if (object->pager.valid()) {
-        // §6.2.2: data parked with the default pager takes precedence over
-        // asking the (possibly errant) manager.
-        auto parked = object->parked_offsets.find(offset);
-        if (parked != object->parked_offsets.end() && parking_ != nullptr) {
-          std::optional<std::vector<std::byte>> data = parking_->Unpark(object->id(), offset);
-          object->parked_offsets.erase(parked);
-          if (data.has_value()) {
-            Result<VmPage*> np =
-                PageAllocLocked(object.get(), offset, shortage_rounds >= 100);
-            if (!np.ok()) {
-              // Keep the unparked bytes safe either way.
-              object->parked_offsets[offset] = true;
-              parking_->Park(object->id(), offset, std::move(*data));
-              if (np.status() == KernReturn::kMemoryPresent) {
-                rescan = true;
-              } else {
-                need_frames = true;
-              }
-              continue;
-            }
-            VmSize n = std::min<VmSize>(data->size(), page_size());
-            phys_->WriteFrame(np.value()->frame, 0, data->data(), n);
-            np.value()->dirty = true;  // Never reached its manager.
-            object->cv.notify_all();
-            rescan = true;  // Rescan finds it resident.
-            continue;
-          }
+      if (w.object->pager.IsDead()) {
+        // Destruction of a memory object by the data manager aborts
+        // requests in progress (§6.2.1).
+        if (config_.on_pager_timeout != Config::OnPagerTimeout::kZeroFill) {
+          return FaultStep::Fail(KernReturn::kMemoryFailure);
         }
-        if (object->pager.IsDead()) {
-          // Destruction of a memory object by the data manager aborts
-          // requests in progress (§6.2.1).
-          if (config_.on_pager_timeout == Config::OnPagerTimeout::kZeroFill) {
-            Result<VmPage*> np =
-                PageAllocLocked(object.get(), offset, shortage_rounds >= 100);
-            if (!np.ok()) {
-              if (np.status() == KernReturn::kMemoryPresent) {
-                rescan = true;
-              } else {
-                need_frames = true;
-              }
-              continue;
-            }
-            phys_->ZeroFrame(np.value()->frame);
-            counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
-            object->cv.notify_all();
-            rescan = true;
-            continue;
-          }
-          return KernReturn::kMemoryFailure;
-        }
-        // Cache miss: allocate a placeholder and issue pager_data_request.
-        Result<VmPage*> np = PageAllocLocked(object.get(), offset, shortage_rounds >= 100);
-        if (!np.ok()) {
-          if (np.status() == KernReturn::kMemoryPresent) {
-            rescan = true;
-          } else {
-            need_frames = true;
-          }
-          continue;
-        }
-        VmPage* placeholder = np.value();
-        placeholder->busy = true;
-        placeholder->absent = true;
-        // Pin across the request-and-wait window: busy alone stops
-        // protecting the placeholder the instant a handler settles it, and
-        // a flush/clean/pageout sweeping the object in the gap before we
-        // re-check would free the page out from under our raw pointer.
-        ++placeholder->pin_count;
-
-        // Fault-ahead: extend the request over a contiguous run of absent
-        // neighbours, each held as its own pinned busy+absent placeholder.
-        // Top-object misses only — shadow descents stay single-page. The
-        // run ends at the object end, any resident/busy/pinned page
-        // (PageAllocLocked returns kMemoryPresent), parked data, an offset
-        // an internal object never pushed to the default pager, or a frame
-        // shortage — speculation never dips into the reserve.
-        std::vector<VmPage*> extras;
-        if (fa_window > 1 && object == first_object) {
-          for (uint32_t i = 1; i < fa_window; ++i) {
-            VmOffset eoff = offset + VmOffset{i} * page_size();
-            if (eoff >= object->size() ||
-                object->parked_offsets.count(eoff) != 0 ||
-                (object->internal && object->paged_offsets.count(eoff) == 0)) {
-              break;
-            }
-            Result<VmPage*> ep =
-                PageAllocLocked(object.get(), eoff, /*allow_reserve=*/false);
-            if (!ep.ok()) {
-              break;
-            }
-            VmPage* extra = ep.value();
-            extra->busy = true;
-            extra->absent = true;
-            extra->readahead = true;
-            ++extra->pin_count;
-            extras.push_back(extra);
-          }
-          if (!extras.empty()) {
-            counters_.fault_ahead_requests.fetch_add(1, std::memory_order_relaxed);
-            counters_.fault_ahead_pages.fetch_add(extras.size(),
-                                                  std::memory_order_relaxed);
-          }
-        }
-        // Releases the run's speculative placeholders on every exit from
-        // the request-and-wait window (olk held). We own each extra's busy
-        // bit, so one still busy+absent was never answered — the partial-
-        // provide remainder — and is freed; a later demand fault re-issues
-        // the request and the OnPagerTimeout policy applies there (a
-        // speculative page is never zero-filled or errored in place: that
-        // would fabricate a verdict no thread asked for). Settled extras
-        // stay resident and just lose the pin; if the object died,
-        // TerminateObject orphaned the pinned pages to us, the last holder.
-        auto sweep_extras = [&]() {
-          bool freed = false;
-          for (VmPage* extra : extras) {
-            assert(extra->pin_count > 0);
-            --extra->pin_count;
-            if (!object->alive) {
-              if (extra->pin_count == 0) {
-                PageFreeLocked(olk, extra);
-              }
-            } else if (extra->busy && extra->absent) {
-              PageFreeLocked(olk, extra);
-              freed = true;
-            }
-          }
-          extras.clear();
-          if (freed) {
-            object->cv.notify_all();
-          }
-        };
-        KernReturn kr = RequestDataFromPager(
-            olk, object, offset,
-            VmSize{1 + extras.size()} * page_size(), fault_type);
-        // The object lock was dropped during the send. We still own the
-        // placeholder (handlers settle busy+absent pages without freeing,
-        // and the pin keeps every sweeper away), but the object may have
-        // died — then TerminateObject orphaned the pinned page for us, its
-        // last holder, to free.
-        if (!object->alive) {
-          sweep_extras();
-          --placeholder->pin_count;
-          PageFreeLocked(olk, placeholder);
-          object->cv.notify_all();
-          return KernReturn::kMemoryFailure;
-        }
-        if (!placeholder->absent || placeholder->error || placeholder->unavailable) {
-          sweep_extras();
-          --placeholder->pin_count;
-          object->cv.notify_all();
-          rescan = true;  // Data (or a verdict) arrived already.
-          continue;
-        }
-        if (!IsOk(kr)) {
-          // The request never reached the manager: nothing will answer the
-          // run. Release every speculative placeholder before settling the
-          // faulting page itself per policy.
-          sweep_extras();
-          if (config_.on_pager_timeout == Config::OnPagerTimeout::kZeroFill) {
-            // Treat an unreachable manager per the timeout policy: settle
-            // our own placeholder as zero fill in place.
-            phys_->ZeroFrame(placeholder->frame);
-            placeholder->busy = false;
-            placeholder->absent = false;
-            placeholder->dirty = true;  // Not backed by the manager.
-            --placeholder->pin_count;
-            counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
-            object->cv.notify_all();
-            rescan = true;
-            continue;
-          }
-          --placeholder->pin_count;
-          PageFreeLocked(olk, placeholder);
-          object->cv.notify_all();
-          return KernReturn::kMemoryFailure;
-        }
-        // Wait for pager_data_provided / pager_data_unavailable. The pin
-        // keeps the pointer valid while the object lives; the object's
-        // death is the one exit we must handle.
-        for (;;) {
-          if (!object->alive) {
-            sweep_extras();
-            --placeholder->pin_count;
-            PageFreeLocked(olk, placeholder);
-            object->cv.notify_all();
-            return KernReturn::kMemoryFailure;
-          }
-          if (!placeholder->absent || placeholder->unavailable || placeholder->error) {
-            break;
-          }
-          if (!WaitForPage(olk, object.get(), deadline)) {
-            // §6.2.1: a timeout may abort the memory request. Either fail
-            // the fault or substitute zero-filled memory.
-            if (config_.on_pager_timeout == Config::OnPagerTimeout::kZeroFill) {
-              phys_->ZeroFrame(placeholder->frame);
-              placeholder->busy = false;
-              placeholder->absent = false;
-              placeholder->dirty = true;  // Not backed by the manager.
-              counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
-              object->cv.notify_all();
-              break;
-            }
-            sweep_extras();
-            --placeholder->pin_count;
-            PageFreeLocked(olk, placeholder);
-            object->cv.notify_all();
-            return KernReturn::kMemoryFailure;
-          }
-          if (placeholder->absent && !placeholder->unavailable && !placeholder->error) {
-            counters_.spurious_page_wakeups.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        // Reached on the primary's settlement (a multi-page provide settled
-        // every page it covered under one handler lock acquisition before
-        // we could observe it) and on the zero-fill timeout: either way,
-        // speculative placeholders still unanswered are released here —
-        // the partial-provide prefix rule.
-        sweep_extras();
-        --placeholder->pin_count;
-        object->cv.notify_all();
-        rescan = true;
-        continue;
+        Result<VmPage*> np = ZeroFillAtCursor(w);
+        return np.ok() ? FaultStep::Rescan() : FaultStep::AllocFailed(np.status());
       }
-      if (object->shadow != nullptr) {
-        // Walk down, hand over hand: take the parent's lock before
-        // releasing the child's so the shadow pointer we followed cannot be
-        // spliced out from under us mid-step.
-        std::shared_ptr<VmObject> parent = object->shadow;
-        VmOffset parent_offset = offset + object->shadow_offset;
-        lock_probe::Note();
-        ObjectLock plk(parent->mu);
-        olk.unlock();
-        object = std::move(parent);
-        offset = parent_offset;
-        olk = std::move(plk);
-        ++depth;
-        // Skip pageless intermediates cheaply: an object with no resident
-        // pages and no pager cannot resolve any offset itself.
-        while (object->pages.empty() && !object->pager.valid() &&
-               object->shadow != nullptr) {
-          parent = object->shadow;
-          parent_offset = offset + object->shadow_offset;
-          lock_probe::Note();
-          ObjectLock nlk(parent->mu);
-          olk.unlock();
-          object = std::move(parent);
-          offset = parent_offset;
-          olk = std::move(nlk);
-          ++depth;
-        }
-        uint64_t prev_max = counters_.chain_depth_max.load(std::memory_order_relaxed);
-        while (depth > prev_max && !counters_.chain_depth_max.compare_exchange_weak(
-                                       prev_max, depth, std::memory_order_relaxed)) {
-        }
-        continue;
+      if (w.object->PagerMayHold(w.offset)) {
+        return RequestPage(w);
       }
+    }
+    if (w.object->shadow == nullptr) {
       // Nothing anywhere in the chain: zero-fill in the *top* object so the
       // page is private to this mapping chain.
-      if (object != first_object) {
-        olk.unlock();
-        lock_probe::Note();
-        olk = ObjectLock(first_object->mu);
-        object = first_object;
-        offset = first_offset;
-        if (PageLookup(object.get(), offset) != nullptr) {
-          rescan = true;  // A page appeared while we walked; use it.
-          continue;
+      if (w.object != w.first_object) {
+        w.MoveToTop();
+        if (PageLookup(w.object.get(), w.offset) != nullptr) {
+          return FaultStep::Rescan();  // A page appeared while we walked; use it.
         }
       }
-      Result<VmPage*> np =
-          PageAllocLocked(first_object.get(), first_offset, shortage_rounds >= 100);
+      Result<VmPage*> np = ZeroFillAtCursor(w);
       if (!np.ok()) {
-        if (np.status() == KernReturn::kMemoryPresent) {
-          rescan = true;
-        } else {
-          need_frames = true;
-        }
-        continue;
+        return FaultStep::AllocFailed(np.status());
       }
-      phys_->ZeroFrame(np.value()->frame);
-      counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
-      first_object->cv.notify_all();
-      return MakePinLocked(olk, first_object, np.value(), /*from_backing=*/false);
+      return FaultStep::Done(MakePinLocked(w.olk, w.object, np.value(), /*from_backing=*/false));
     }
-    olk.unlock();
-    first_probe = false;
-    if (need_frames) {
-      // Frame shortage below the reserved floor: with every lock dropped,
-      // help reclaim and retry. After enough rounds dip into the reserve
-      // (§6.2.3) so the fault that *frees* memory can always complete.
-      if (++shortage_rounds > 100) {
-        return KernReturn::kResourceShortage;
-      }
-      WaitForFreeFrames();
+    // Walk down, hand over hand: the parent's lock is taken before the
+    // assignment releases the child's, so the shadow pointer we followed
+    // cannot be spliced out from under us mid-step.
+    std::shared_ptr<VmObject> parent = w.object->shadow;
+    const VmOffset parent_offset = w.offset + w.object->shadow_offset;
+    lock_probe::Note();
+    w.olk = ObjectLock(parent->mu);
+    w.object = std::move(parent);
+    w.offset = parent_offset;
+    ++depth;
+    uint64_t prev_max = counters_.chain_depth_max.load(std::memory_order_relaxed);
+    while (depth > prev_max && !counters_.chain_depth_max.compare_exchange_weak(
+                                   prev_max, depth, std::memory_order_relaxed)) {
     }
   }
+}
+
+VmSystem::FaultStep VmSystem::UsePage(FaultWalk& w, VmPage* page) {
+  // A faulting thread has reached this page: whatever happens next (wait,
+  // settle, pin), the speculation paid off.
+  page->readahead = false;
+  if (page->busy) {
+    return AwaitPage(w, page);
+  }
+  if (page->error) {
+    return FaultStep::Fail(KernReturn::kMemoryError);
+  }
+  if (page->unavailable) {
+    return SettleUnavailable(w, page);
+  }
+  if (page->queue.load(std::memory_order_relaxed) == VmPage::Queue::kNone) {
+    // Every settled resident page belongs on a pageout queue. Pages settled
+    // in place — a pager verdict, unparked data, zero fill on a dead or
+    // silent pager — are first seen here, on the rescan. A copy-on-write
+    // source settled in a backing object is never activated by the install
+    // in Fault, and off every queue it could never be reclaimed.
+    PageActivate(page);
+  }
+  const bool top = w.object == w.first_object;
+  if (top && (w.fault_type & page->page_lock) != 0 && w.object->pager.valid()) {
+    return AwaitPage(w, page);  // The manager's lock forbids this access.
+  }
+  if (!top && (w.fault_type & kVmProtWrite) != 0) {
+    return CopyOnWrite(w, page);
+  }
+  if (top && w.first_probe) {
+    // Settled page in the top object on the very first probe — the fast
+    // path collapse funnels long-lived fork survivors into.
+    counters_.fast_faults.fetch_add(1, std::memory_order_relaxed);
+  }
+  // A backing object's page maps read-only: its copy is still pending.
+  return FaultStep::Done(MakePinLocked(w.olk, w.object, page, /*from_backing=*/!top));
+}
+
+VmSystem::FaultStep VmSystem::AwaitPage(FaultWalk& w, VmPage* page) {
+  const bool busy = page->busy;
+  if (!busy && !page->unlock_pending) {
+    page->unlock_pending = true;
+    counters_.unlock_requests.fetch_add(1, std::memory_order_relaxed);
+    PagerDataUnlockArgs args{w.object->request_send, page->offset, page_size(), w.fault_type};
+    if (!IsOk(SendToPager(w.olk, w.object, EncodePagerDataUnlock(args)))) {
+      return FaultStep::Fail(KernReturn::kMemoryFailure);
+    }
+  }
+  // From here the page pointer may dangle: once the lock drops, the owning
+  // thread may free or rename the page. Wait for a state change and rescan.
+  if (!WaitForPage(w.olk, w.object.get(), w.deadline)) {
+    return FaultStep::Fail(KernReturn::kMemoryFailure);
+  }
+  VmPage* again = busy ? PageLookup(w.object.get(), w.offset) : nullptr;
+  if (again != nullptr && again->busy) {
+    counters_.spurious_page_wakeups.fetch_add(1, std::memory_order_relaxed);
+  }
+  return FaultStep::Rescan();
+}
+
+std::optional<VmSystem::FaultStep> VmSystem::Unpark(FaultWalk& w) {
+  auto parked = w.object->parked_offsets.find(w.offset);
+  if (parked == w.object->parked_offsets.end() || parking_ == nullptr) {
+    return std::nullopt;
+  }
+  std::optional<std::vector<std::byte>> data = parking_->Unpark(w.object->id(), w.offset);
+  w.object->parked_offsets.erase(parked);
+  if (!data.has_value()) {
+    return std::nullopt;
+  }
+  Result<VmPage*> np = PageAllocLocked(w.object.get(), w.offset, w.allow_reserve());
+  if (!np.ok()) {
+    // Keep the unparked bytes safe either way.
+    w.object->parked_offsets.insert(w.offset);
+    parking_->Park(w.object->id(), w.offset, std::move(*data));
+    return FaultStep::AllocFailed(np.status());
+  }
+  phys_->WriteFrame(np.value()->frame, 0, data->data(),
+                    std::min<VmSize>(data->size(), page_size()));
+  np.value()->dirty = true;  // Never reached its manager.
+  w.object->cv.notify_all();
+  return FaultStep::Rescan();  // The rescan finds it resident.
+}
+
+VmSystem::FaultStep VmSystem::RequestPage(FaultWalk& w) {
+  // run[0] is the faulting page's placeholder. Fault-ahead extends the
+  // request over a contiguous run of absent neighbours (top-object misses
+  // only: shadow descents stay single-page). The run ends at the object
+  // end, parked data, an offset the pager cannot hold, or any page
+  // PageAllocLocked refuses (resident, busy, pinned, or a frame shortage:
+  // speculation never dips into the reserve). Every page is busy+absent and
+  // pinned: busy alone stops protecting a placeholder the instant a handler
+  // settles it, and a flush, clean or pageout sweeping the object before we
+  // re-check would free it under our raw pointer.
+  const uint32_t window = w.object == w.first_object ? w.fa_window : 1;
+  std::vector<VmPage*> run;
+  for (uint32_t i = 0; i < window; ++i) {
+    const VmOffset off = w.offset + VmOffset{i} * page_size();
+    if (i > 0 && (off >= w.object->size() || w.object->parked_offsets.count(off) != 0 ||
+                  !w.object->PagerMayHold(off))) {
+      break;
+    }
+    Result<VmPage*> np = PageAllocLocked(w.object.get(), off, i == 0 && w.allow_reserve());
+    if (!np.ok()) {
+      if (i == 0) {
+        return FaultStep::AllocFailed(np.status());
+      }
+      break;
+    }
+    VmPage* page = np.value();
+    page->busy = true;
+    page->absent = true;
+    page->readahead = i > 0;
+    ++page->pin_count;
+    run.push_back(page);
+  }
+  if (run.size() > 1) {
+    counters_.fault_ahead_requests.fetch_add(1, std::memory_order_relaxed);
+    counters_.fault_ahead_pages.fetch_add(run.size() - 1, std::memory_order_relaxed);
+  }
+  PagerDataRequestArgs args{w.object->request_send, w.offset,
+                            VmSize{run.size()} * page_size(), w.fault_type};
+  const bool sent = IsOk(SendToPager(w.olk, w.object, EncodePagerDataRequest(args)));
+  return AwaitPlaceholder(w, run, sent);
+}
+
+VmSystem::FaultStep VmSystem::AwaitPlaceholder(FaultWalk& w, const std::vector<VmPage*>& run,
+                                               bool sent) {
+  // The lock was dropped during the send and drops in every wait. We still
+  // own the placeholders (handlers settle busy+absent pages without freeing
+  // them, and the pins keep every sweeper away), so the object's death is
+  // the one exit to watch for: TerminateObject then orphans the pinned
+  // pages to us, their last holder.
+  VmPage* placeholder = run.front();
+  bool timed_out = !sent;  // A request that never reached the manager.
+  for (;;) {
+    if (!w.object->alive) {
+      ReleaseRun(w, run, /*abandon=*/true);
+      return FaultStep::Fail(KernReturn::kMemoryFailure);
+    }
+    if (!placeholder->absent || placeholder->unavailable || placeholder->error) {
+      break;  // Data, or a verdict, arrived.
+    }
+    if (timed_out) {
+      // §6.2.1: a timeout may abort the memory request: fail the fault, or
+      // substitute zero-filled memory in place.
+      if (!SettleByPolicyLocked(placeholder)) {
+        ReleaseRun(w, run, /*abandon=*/true);
+        return FaultStep::Fail(KernReturn::kMemoryFailure);
+      }
+      break;
+    }
+    if (!WaitForPage(w.olk, w.object.get(), w.deadline)) {
+      timed_out = true;
+    } else if (placeholder->absent && !placeholder->unavailable && !placeholder->error) {
+      counters_.spurious_page_wakeups.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  ReleaseRun(w, run, /*abandon=*/false);
+  return FaultStep::Rescan();
+}
+
+void VmSystem::ReleaseRun(FaultWalk& w, const std::vector<VmPage*>& run, bool abandon) {
+  for (size_t i = 1; i < run.size(); ++i) {
+    VmPage* extra = run[i];
+    assert(extra->pin_count > 0);
+    --extra->pin_count;
+    if (w.object->alive ? extra->busy && extra->absent : extra->pin_count == 0) {
+      PageFreeLocked(w.olk, extra);
+    }
+  }
+  --run.front()->pin_count;
+  if (abandon) {
+    PageFreeLocked(w.olk, run.front());
+  }
+  w.object->cv.notify_all();
+}
+
+VmSystem::FaultStep VmSystem::CopyOnWrite(FaultWalk& w, VmPage* source) {
+  // Pin the source so it survives while we drop its lock and lock the top
+  // object: child-before-parent order forbids taking them the other way
+  // round, and we are at the parent now.
+  PagePin src = MakePinLocked(w.olk, w.object, source, /*from_backing=*/true);
+  w.MoveToTop();
+  Result<VmPage*> np = PageAllocLocked(w.object.get(), w.offset, w.allow_reserve());
+  FaultStep step = FaultStep::AllocFailed(np.status());
+  if (np.ok()) {
+    phys_->CopyFrame(source->frame, np.value()->frame);
+    np.value()->dirty = true;
+    counters_.cow_faults.fetch_add(1, std::memory_order_relaxed);
+    step = FaultStep::Done(MakePinLocked(w.olk, w.object, np.value(), /*from_backing=*/false));
+    w.object->cv.notify_all();
+  }
+  w.olk.unlock();
+  UnpinPage(src);
+  return step;
+}
+
+VmSystem::FaultStep VmSystem::SettleUnavailable(FaultWalk& w, VmPage* page) {
+  if (w.object->shadow == nullptr) {
+    ZeroFill(page);
+  } else {
+    page->busy = true;  // Own the page across the recursion.
+    const std::shared_ptr<VmObject> backing_object = w.object->shadow;
+    const VmOffset backing_offset = w.offset + w.object->shadow_offset;
+    Result<PagePin> backing = KernReturn::kFailure;
+    {
+      ScopedUnlock unlock(w.olk);
+      backing = ResolvePage(backing_object, backing_offset, kVmProtRead);
+    }
+    // We own the busy page: even on failure we must settle it ourselves
+    // (nobody else may touch a busy page).
+    if (!w.object->alive) {
+      if (backing.ok()) {
+        UnpinPage(backing.value());
+      }
+      PageFreeLocked(w.olk, page);
+      w.object->cv.notify_all();
+      return FaultStep::Fail(KernReturn::kMemoryFailure);
+    }
+    page->busy = false;
+    if (!backing.ok()) {
+      page->error = true;
+      w.object->cv.notify_all();
+      return FaultStep::Fail(backing.status());
+    }
+    phys_->CopyFrame(backing.value().page->frame, page->frame);
+    UnpinPage(backing.value());
+  }
+  page->unavailable = false;
+  page->absent = false;
+  w.object->cv.notify_all();
+  return FaultStep::Rescan();
+}
+
+Result<VmPage*> VmSystem::ZeroFillAtCursor(FaultWalk& w) {
+  Result<VmPage*> np = PageAllocLocked(w.object.get(), w.offset, w.allow_reserve());
+  if (np.ok()) {
+    ZeroFill(np.value());
+    w.object->cv.notify_all();
+  }
+  return np;
 }
 
 // --- the fault entry point --------------------------------------------------
@@ -735,8 +734,7 @@ bool VmSystem::TryOptimisticFault(TaskVm& task, VmOffset page_addr, VmProt acces
     return false;
   }
   VmPage* page = e->object->pages.Find(object_offset);
-  if (page == nullptr || page->busy || page->absent || page->unavailable ||
-      page->error) {
+  if (page == nullptr || !page->settled()) {
     return false;  // Unsettled (or missing) pages are locked-path work.
   }
   // First demand touch of a readahead page: recorded under the object lock
@@ -774,75 +772,20 @@ KernReturn VmSystem::Fault(TaskVm& task, VmOffset addr, VmProt access) {
     return KernReturn::kSuccess;
   }
   for (int attempt = 0; attempt < 64; ++attempt) {
-    // Phase 1: resolve the map entry under the map lock(s), shared mode.
-    std::shared_ptr<VmObject> object;
-    VmOffset object_offset;
-    uint32_t fa_window = 1;
-    {
-      lock_probe::Note();
-      std::shared_lock<std::shared_mutex> map_lock(task.map->lock());
-      // Refresh the published snapshot while we are here anyway: under the
-      // shared lock the generation is stable (mutators take it exclusive),
-      // so concurrent publishers race benignly toward identical snapshots.
-      if (!task.map->snapshot_current()) {
-        task.map->PublishSnapshot();
-      }
-      Result<EntryRef> re = LookupEntry(task, page_addr, access);
-      if (!re.ok()) {
-        return re.status();
-      }
-      if (re.value().needs_prepare) {
-        re.value().share_lock = {};
-        map_lock.unlock();
-        KernReturn kr = PrepareEntry(task, page_addr, access);
-        if (!IsOk(kr)) {
-          return kr;
-        }
-        continue;  // Re-resolve with the entry prepared.
-      }
-      object = re.value().holder->object;
-      object_offset = TruncPage(re.value().object_offset, page_size());
-
-      // Fast path: a settled page resident in the entry's own object can be
-      // installed in this same critical section — map shared → object →
-      // queues → pmap is the documented order, and the object lock keeps
-      // the page stable across the pmap update, so no pin and no second
-      // map lookup are needed. Anything unsettled (busy, absent, locked
-      // against this access, COW pending on a write) falls through to the
-      // general three-phase path.
-      {
-        lock_probe::Note();
-        ObjectLock olk(object->mu);
-        VmPage* page = PageLookup(object.get(), object_offset);
-        if (page == nullptr) {
-          // A true miss (not even a placeholder): feed the sequentiality
-          // detector and size the fault-ahead window while the holder
-          // pointer is still valid under the map lock. Re-faults on pages
-          // fault-ahead already brought in deliberately don't count —
-          // only run *starts* advance the detector, which is what keeps
-          // the window doubling across a scan.
-          fa_window = ComputeFaultAheadWindow(re.value().holder, object_offset);
-        } else if (!page->busy && !page->absent && !page->unavailable &&
-                   !page->error) {
-          page->readahead = false;  // First demand touch.
-          VmProt prot = re.value().top->protection;
-          if (re.value().holder->needs_copy) {
-            prot &= ~kVmProtWrite;
-          }
-          prot &= ~page->page_lock;
-          if ((access & ~prot) == 0) {
-            task.pmap->Enter(page_addr, page->frame, prot);
-            PageActivate(page);
-            counters_.fast_faults.fetch_add(1, std::memory_order_relaxed);
-            counters_.faults.fetch_add(1, std::memory_order_relaxed);
-            return KernReturn::kSuccess;
-          }
-        }
-      }
+    // Phase 1: resolve the map entry under the map lock(s), shared mode; a
+    // settled resident page is installed right there.
+    Result<EntryTarget> target = ResolveEntry(task, page_addr, access, /*install=*/true);
+    if (!target.ok()) {
+      return target.status();
     }
+    if (target.value().installed) {
+      return KernReturn::kSuccess;
+    }
+    const std::shared_ptr<VmObject>& object = target.value().object;
+    const VmOffset object_offset = target.value().offset;
 
     // Phase 2: find/create the page; returns it pinned, no locks held.
-    Result<PagePin> rp = ResolvePage(object, object_offset, access, fa_window);
+    Result<PagePin> rp = ResolvePage(object, object_offset, access, target.value().fa_window);
     if (!rp.ok()) {
       return rp.status();
     }
@@ -916,16 +859,6 @@ KernReturn VmSystem::UserAccess(TaskVm& task, VmOffset addr, void* buf, VmSize l
 
 // --- kernel-mediated access -------------------------------------------------
 
-bool VmSystem::PageResidentNow(VmObject* object, VmOffset offset) {
-  // Sizes the fault-ahead window only: the answer may be stale by the time
-  // ResolvePage relocks the object, and a stale "miss" costs one detector
-  // update, nothing more. The probe itself holds the owner's lock (map
-  // lock, then object lock: the documented order).
-  lock_probe::Note();
-  ObjectLock olk(object->mu);
-  return object->pages.Contains(offset);
-}
-
 KernReturn VmSystem::ReadMemory(TaskVm& task, VmOffset addr, void* buf, VmSize len) {
   // vm_read: kernel-mediated, faults pages in via the object layer without
   // touching the task's pmap. Pins ride a PinBatch so each page's
@@ -937,31 +870,12 @@ KernReturn VmSystem::ReadMemory(TaskVm& task, VmOffset addr, void* buf, VmSize l
   while (len > 0) {
     VmOffset page_addr = TruncPage(addr, ps);
     VmSize chunk = std::min<VmSize>(len, page_addr + ps - addr);
-    std::shared_ptr<VmObject> object;
-    VmOffset object_offset;
-    uint32_t fa_window = 1;
-    {
-      std::shared_lock<std::shared_mutex> map_lock(task.map->lock());
-      Result<EntryRef> re = LookupEntry(task, page_addr, kVmProtRead);
-      if (!re.ok()) {
-        return re.status();
-      }
-      if (re.value().needs_prepare) {
-        re.value().share_lock = {};
-        map_lock.unlock();
-        KernReturn kr = PrepareEntry(task, page_addr, kVmProtRead);
-        if (!IsOk(kr)) {
-          return kr;
-        }
-        continue;  // Retry this chunk.
-      }
-      object = re.value().holder->object;
-      object_offset = TruncPage(re.value().object_offset, ps);
-      if (!PageResidentNow(object.get(), object_offset)) {
-        fa_window = ComputeFaultAheadWindow(re.value().holder, object_offset);
-      }
+    Result<EntryTarget> target = ResolveEntry(task, page_addr, kVmProtRead, /*install=*/false);
+    if (!target.ok()) {
+      return target.status();
     }
-    Result<PagePin> rp = ResolvePage(object, object_offset, kVmProtRead, fa_window);
+    Result<PagePin> rp = ResolvePage(target.value().object, target.value().offset, kVmProtRead,
+                                     target.value().fa_window);
     if (!rp.ok()) {
       return rp.status();
     }
@@ -981,53 +895,29 @@ KernReturn VmSystem::WriteMemory(TaskVm& task, VmOffset addr, const void* buf, V
   while (len > 0) {
     VmOffset page_addr = TruncPage(addr, ps);
     VmSize chunk = std::min<VmSize>(len, page_addr + ps - addr);
-    std::shared_ptr<VmObject> object;
-    VmOffset object_offset;
-    uint32_t fa_window = 1;
-    {
-      std::shared_lock<std::shared_mutex> map_lock(task.map->lock());
-      Result<EntryRef> re = LookupEntry(task, page_addr, kVmProtWrite);
-      if (!re.ok()) {
-        return re.status();
-      }
-      if (re.value().needs_prepare) {
-        re.value().share_lock = {};
-        map_lock.unlock();
-        KernReturn kr = PrepareEntry(task, page_addr, kVmProtWrite);
-        if (!IsOk(kr)) {
-          return kr;
-        }
-        continue;  // Retry this chunk.
-      }
-      object = re.value().holder->object;
-      object_offset = TruncPage(re.value().object_offset, ps);
-      if (!PageResidentNow(object.get(), object_offset)) {
-        fa_window = ComputeFaultAheadWindow(re.value().holder, object_offset);
-      }
+    Result<EntryTarget> target = ResolveEntry(task, page_addr, kVmProtWrite, /*install=*/false);
+    if (!target.ok()) {
+      return target.status();
     }
-    Result<PagePin> rp = ResolvePage(object, object_offset, kVmProtWrite, fa_window);
+    Result<PagePin> rp = ResolvePage(target.value().object, target.value().offset, kVmProtWrite,
+                                     target.value().fa_window);
     if (!rp.ok()) {
       return rp.status();
     }
     PagePin pin = std::move(rp.value());
-    bool retry = false;
+    bool written = false;
     {
+      // ResolvePage waited out any manager lock on the page, but a new one
+      // can land before we relock it: then retry the chunk, and ResolvePage
+      // asks the manager to unlock.
       ObjectLock olk(pin.owner->mu);
-      if ((kVmProtWrite & pin.page->page_lock) != 0 && pin.owner->pager.valid()) {
-        // Honour manager locks on the kernel write path too.
-        KernReturn kr = RequestUnlockFromPager(olk, pin.owner, pin.page, kVmProtWrite);
-        if (!IsOk(kr)) {
-          olk.unlock();
-          UnpinPage(pin);
-          return KernReturn::kMemoryFailure;
-        }
-        retry = true;  // Retry this chunk; ResolvePage waits out the unlock.
-      } else {
+      if ((kVmProtWrite & pin.page->page_lock) == 0 || !pin.owner->pager.valid()) {
         phys_->WriteFrame(pin.page->frame, addr - page_addr, in, chunk);
         pin.page->dirty = true;
+        written = true;
       }
     }
-    if (retry) {
+    if (!written) {
       UnpinPage(pin);
       continue;
     }

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -108,11 +107,18 @@ class VmObject : public std::enable_shared_from_this<VmObject> {
   // paged-out shadow would silently lose its pages.
   std::unordered_set<VmOffset> paged_offsets;
 
+  // Whether this object's pager may hold data for `offset`: an external
+  // manager may hold any offset, the default pager only what was pushed to
+  // it. The fault path asks the pager only where this holds. Caller holds mu.
+  bool PagerMayHold(VmOffset offset) const {
+    return pager.valid() && (!internal || paged_offsets.count(offset) != 0);
+  }
+
   // Offsets that the kernel parked with the default pager because this
   // (external) object's manager failed to accept a pager_data_write in time
   // (§6.2.2). Consulted by the fault handler before asking the manager.
-  // Maps offset -> true. Cleared when the data is re-fetched.
-  std::unordered_map<VmOffset, bool> parked_offsets;
+  // Cleared when the data is re-fetched.
+  std::unordered_set<VmOffset> parked_offsets;
 
   // Number of address-map (and map-copy) references. Atomic so references
   // can be taken without a lock; decrements (which may reach the terminal

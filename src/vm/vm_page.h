@@ -82,6 +82,9 @@ struct VmPage {
   std::atomic<Queue> queue{Queue::kNone};
 
   IntrusiveListNode queue_link;  // VmSystem active/inactive queue
+
+  // Resident with its data in place: not in transit and no verdict pending.
+  bool settled() const { return !busy && !absent && !unavailable && !error; }
 };
 
 using PageQueue = IntrusiveList<VmPage, &VmPage::queue_link>;

@@ -379,7 +379,7 @@ VmSystem::RunWriteResult VmSystem::WritePageoutRun(ObjectLock& olk,
       std::vector<std::byte> page_data(args.data.begin() + static_cast<ptrdiff_t>(i * ps),
                                        args.data.begin() + static_cast<ptrdiff_t>((i + 1) * ps));
       parking_->Park(object->id(), run[i]->offset, std::move(page_data));
-      object->parked_offsets[run[i]->offset] = true;
+      object->parked_offsets.insert(run[i]->offset);
     }
     counters_.parked_pageouts.fetch_add(run.size(), std::memory_order_relaxed);
     return RunWriteResult::kParked;
@@ -683,16 +683,8 @@ void VmSystem::HandlePagerDeath(ChainLock& chain, std::shared_ptr<VmObject> obje
       // it under the same §6.2.1 policy a timeout would apply, but now.
       // (Settling another thread's busy page is the documented exception to
       // busy ownership: the owner only ever observes the settled state.)
-      if (zero_fill) {
-        phys_->ZeroFrame(page->frame);
-        phys_->ClearModify(page->frame);
-        phys_->ClearReference(page->frame);
-        page->busy = false;
-        page->absent = false;
-        page->unavailable = false;
-        page->dirty = true;  // No backing copy of the zeroes exists.
+      if (SettleByPolicyLocked(page)) {
         PageActivateDeferred(page);  // Stable: olk held until the flush.
-        counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
       } else {
         page->error = true;
         page->busy = false;

@@ -441,8 +441,7 @@ constexpr size_t kCollapseScanCap = size_t{1} << 20;
 // touch such an object.
 bool HasUnstablePage(const VmObject* object) {
   for (const VmPage* page : object->pages) {
-    if (page->busy || page->absent || page->unavailable || page->error ||
-        page->unlock_pending || page->pin_count > 0) {
+    if (!page->settled() || page->unlock_pending || page->pin_count > 0) {
       return true;
     }
   }
@@ -492,8 +491,7 @@ VmSystem::Coverage VmSystem::FullyCoversSelf(const VmObject* object) const {
       covered.insert(off);
     }
   }
-  for (const auto& [off, parked] : object->parked_offsets) {
-    (void)parked;
+  for (VmOffset off : object->parked_offsets) {
     if (off < object->size()) {
       covered.insert(off);
     }
@@ -566,8 +564,7 @@ void VmSystem::TryCollapse(ChainLock& chain, const std::shared_ptr<VmObject>& ob
           break;
         }
       }
-      for (const auto& [so, parked] : s->parked_offsets) {
-        (void)parked;
+      for (VmOffset so : s->parked_offsets) {
         if (!covered_or_resident(so)) {
           backing_only_data = true;
           break;
@@ -657,8 +654,7 @@ uint64_t VmSystem::MergeShadowPagesLocked(ObjectLock& slk, VmObject* child, VmOb
       for (VmOffset co : child->paged_offsets) {
         drop_superseded(co);
       }
-      for (const auto& [co, parked] : child->parked_offsets) {
-        (void)parked;
+      for (VmOffset co : child->parked_offsets) {
         drop_superseded(co);
       }
     }

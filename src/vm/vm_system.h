@@ -324,10 +324,6 @@ class VmSystem {
   // they neither skew the hit rate nor pay the two shared-counter xadds.
   VmPage* PageLookup(VmObject* object, VmOffset offset);
 
-  // Residency probe for the kernel-mediated access paths' fault-ahead
-  // heuristic: takes and drops the owner's mu. The answer is advisory.
-  bool PageResidentNow(VmObject* object, VmOffset offset);
-
   // Allocates a frame and a resident page for (object, offset). Never
   // blocks and never reclaims inline: on exhaustion returns
   // kResourceShortage and pokes the daemon; the caller must drop its locks
@@ -432,6 +428,26 @@ class VmSystem {
   // Read-only resolution; caller holds task.map->lock() (either mode).
   Result<EntryRef> LookupEntry(TaskVm& task, VmOffset addr, VmProt access);
 
+  // Where an access at a page address lands: the entry's object, the page's
+  // offset in it, and the fault-ahead window for a miss (1 otherwise).
+  struct EntryTarget {
+    std::shared_ptr<VmObject> object;
+    VmOffset offset = 0;
+    uint32_t fa_window = 1;
+    bool installed = false;  // The resident fast path entered the mapping.
+  };
+
+  // Entry resolution for Fault, ReadMemory and WriteMemory: looks up
+  // `page_addr` under the map lock(s), shared, running PrepareEntry and
+  // retrying while the entry needs it, then probes the page under the
+  // object lock. A miss feeds the entry's sequentiality detector. With
+  // `install` (Fault), a settled page resident in the entry's own object
+  // whose protection allows `access` is entered into the task's pmap right
+  // there (counted as a fast fault), and the snapshot the optimistic tier
+  // reads is republished. Takes no locks on entry or exit.
+  Result<EntryTarget> ResolveEntry(TaskVm& task, VmOffset page_addr, VmProt access,
+                                   bool install);
+
   // Runs the per-entry sequentiality detector for a *miss* at
   // `object_offset` (the page was not resident) and returns the fault-ahead
   // window to use, >= 1. Caller holds the holder's map lock (shared is
@@ -464,10 +480,37 @@ class VmSystem {
   Result<PagePin> ResolvePage(std::shared_ptr<VmObject> first_object, VmOffset first_offset,
                               VmProt fault_type, uint32_t fa_window = 1);
 
+  // ResolvePage's phases (vm_fault.cc describes them and the step contract
+  // they share). Each is entered holding the cursor object's mu.
+  struct FaultWalk;
+  struct FaultStep;
+  FaultStep WalkChain(FaultWalk& w);
+  FaultStep UsePage(FaultWalk& w, VmPage* page);
+  FaultStep AwaitPage(FaultWalk& w, VmPage* page);
+  std::optional<FaultStep> Unpark(FaultWalk& w);
+  FaultStep RequestPage(FaultWalk& w);
+  FaultStep AwaitPlaceholder(FaultWalk& w, const std::vector<VmPage*>& run, bool sent);
+  // Unpins a pager request's run, freeing its unanswered speculative pages
+  // and, with `abandon`, the faulting page's placeholder too.
+  void ReleaseRun(FaultWalk& w, const std::vector<VmPage*>& run, bool abandon);
+  FaultStep CopyOnWrite(FaultWalk& w, VmPage* source);
+  FaultStep SettleUnavailable(FaultWalk& w, VmPage* page);
+  Result<VmPage*> ZeroFillAtCursor(FaultWalk& w);
+
   PagePin MakePinLocked(ObjectLock& olk, std::shared_ptr<VmObject> owner, VmPage* page,
                         bool from_backing);
   void UnpinPage(PagePin& pin);
-  void UnpinRaw(const std::shared_ptr<VmObject>& owner, VmPage* page);
+
+  // Zeroes a resident page's frame and counts the zero fill.
+  void ZeroFill(VmPage* page) {
+    phys_->ZeroFrame(page->frame);
+    counters_.zero_fill_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Settles a placeholder whose data can never arrive by the §6.2.1 policy:
+  // under kZeroFill it becomes a dirty zero page and true is returned; under
+  // kError it is left alone and false is returned (the caller fails the
+  // fault or marks the page). Caller holds the owner's mu.
+  bool SettleByPolicyLocked(VmPage* page);
 
   // Waits (bounded slice) on `object`'s condition variable for a page state
   // change; returns false once `deadline` has passed. `olk` holds the
@@ -475,14 +518,10 @@ class VmSystem {
   bool WaitForPage(ObjectLock& olk, VmObject* object,
                    std::chrono::steady_clock::time_point deadline);
 
-  // Message sends to the object's manager. `olk` (the object's mu) is
-  // released across the send and reacquired; callers revalidate after.
-  // `length` spans the whole run (page-size multiple; one page when no
-  // fault-ahead applies).
-  KernReturn RequestDataFromPager(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
-                                  VmOffset offset, VmSize length, VmProt access);
-  KernReturn RequestUnlockFromPager(ObjectLock& olk, const std::shared_ptr<VmObject>& object,
-                                    VmPage* page, VmProt access);
+  // Sends `msg` to the object's manager, bounded by the fault-wait budget.
+  // `olk` (the object's mu) is released across the send and reacquired;
+  // callers revalidate after.
+  KernReturn SendToPager(ObjectLock& olk, const std::shared_ptr<VmObject>& object, Message msg);
 
   // --- objects -----------------------------------------------------------
 

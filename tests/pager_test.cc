@@ -6,14 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <thread>
 #include <vector>
 
+#include "src/base/fault_injector.h"
+#include "src/hw/sim_disk.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/task.h"
 #include "src/pager/data_manager.h"
+#include "src/pager/protocol.h"
 
 namespace mach {
 namespace {
@@ -903,6 +908,296 @@ TEST_F(ExternalPagerTest, ForgedOversizeDataRequestIsRejectedAtTheWire) {
   }
   EXPECT_EQ(pager_.protocol_rejects(), 1u);
   EXPECT_EQ(pager_.request_count(), requests_before);
+}
+
+// --- early exits of the fault path --------------------------------------------
+//
+// Each case leaves a fault holding a placeholder page that it must free or
+// settle on the way out. Every test checks the fault's verdict and that the
+// kernel's free frames return to their baseline once the mappings are gone:
+// a leaked placeholder, or a page left pinned, keeps its frame.
+
+// Waits (bounded) until `kernel` has exactly `want` free frames.
+bool FramesReturnTo(Kernel& kernel, uint32_t want) {
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (kernel.phys().free_frames() != want) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+// A memory object whose manager is the test itself: kernel messages queue on
+// a raw port that nothing drains unless the test does, so the test decides
+// when a kernel send blocks or fails and when a faulter gets its answer.
+class FaultExitTest : public ::testing::Test {
+ protected:
+  void Boot(VmSystem::Config::OnPagerTimeout policy = VmSystem::Config::OnPagerTimeout::kError) {
+    Kernel::Config config;
+    config.frames = 64;
+    config.page_size = kPage;
+    config.disk_latency = DiskLatencyModel{0, 0};
+    config.vm.pager_timeout = std::chrono::milliseconds(300);
+    config.vm.on_pager_timeout = policy;
+    kernel_ = std::make_unique<Kernel>(config);
+    task_ = kernel_->CreateTask();
+    baseline_ = kernel_->phys().free_frames();
+  }
+  ~FaultExitTest() override { task_.reset(); }
+
+  // Maps a one-page object managed through `object_`. With `full_queue` the
+  // port holds a single message and pager_init is left in it, so every
+  // later kernel send to the manager blocks until its timeout.
+  VmOffset MapManualObject(bool full_queue) {
+    object_ = PortAllocate("manual-object");
+    if (full_queue) {
+      object_.receive.port()->SetBacklog(1);
+    }
+    VmOffset addr = task_->VmAllocateWithPager(kPage, object_.send, 0).value();
+    if (!full_queue) {
+      Message init = Receive(kMsgPagerInit);
+      Result<PagerInitArgs> args = DecodePagerInit(init);
+      EXPECT_TRUE(args.ok());
+      if (args.ok()) {
+        request_port_ = args.value().pager_request_port;
+      }
+    }
+    return addr;
+  }
+
+  // The next message on the object port, which must carry `id`.
+  Message Receive(MsgId id) {
+    Result<Message> msg = MsgReceive(object_.receive, std::chrono::seconds(5));
+    EXPECT_TRUE(msg.ok());
+    if (!msg.ok()) {
+      return Message();
+    }
+    EXPECT_EQ(msg.value().id(), id);
+    return std::move(msg.value());
+  }
+
+  std::unique_ptr<Kernel> kernel_;
+  std::shared_ptr<Task> task_;
+  uint32_t baseline_ = 0;
+  PortPair object_;
+  SendRight request_port_;
+};
+
+TEST_F(FaultExitTest, DataRequestThatCannotBeSentFailsTheFault) {
+  Boot();
+  VmOffset addr = MapManualObject(/*full_queue=*/true);
+  uint64_t out = 0;
+  EXPECT_EQ(task_->Read(addr, &out, sizeof(out)), KernReturn::kMemoryFailure);
+  EXPECT_EQ(kernel_->phys().free_frames(), baseline_);
+}
+
+TEST_F(FaultExitTest, DataRequestThatCannotBeSentZeroFillsUnderPolicy) {
+  Boot(VmSystem::Config::OnPagerTimeout::kZeroFill);
+  VmOffset addr = MapManualObject(/*full_queue=*/true);
+  uint64_t out = 0xFF;
+  EXPECT_EQ(task_->Read(addr, &out, sizeof(out)), KernReturn::kSuccess);
+  EXPECT_EQ(out, 0u);
+  task_.reset();
+  EXPECT_TRUE(FramesReturnTo(*kernel_, baseline_));
+}
+
+TEST_F(FaultExitTest, ObjectDeathDuringTheSendFreesThePlaceholder) {
+  Boot();
+  VmOffset addr = MapManualObject(/*full_queue=*/true);
+  KernReturn verdict = KernReturn::kSuccess;
+  std::thread faulter([&] {
+    uint64_t out = 0;
+    verdict = task_->Read(addr, &out, sizeof(out));
+  });
+  // The placeholder's frame is taken under the object lock, which the
+  // faulter keeps until it blocks in the send: the termination below can
+  // only run while the send is in flight.
+  EXPECT_TRUE(FramesReturnTo(*kernel_, baseline_ - 1));
+  EXPECT_EQ(task_->VmDeallocate(addr, kPage), KernReturn::kSuccess);
+  faulter.join();
+  EXPECT_EQ(verdict, KernReturn::kMemoryFailure);
+  EXPECT_EQ(kernel_->phys().free_frames(), baseline_);
+}
+
+TEST_F(FaultExitTest, ObjectDeathWhileWaitingFreesThePlaceholder) {
+  Boot();
+  VmOffset addr = MapManualObject(/*full_queue=*/false);
+  KernReturn verdict = KernReturn::kSuccess;
+  std::thread faulter([&] {
+    uint64_t out = 0;
+    verdict = task_->Read(addr, &out, sizeof(out));
+  });
+  Receive(kMsgPagerDataRequest);  // Sent; the faulter now waits for data.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(task_->VmDeallocate(addr, kPage), KernReturn::kSuccess);
+  faulter.join();
+  EXPECT_EQ(verdict, KernReturn::kMemoryFailure);
+  EXPECT_EQ(kernel_->phys().free_frames(), baseline_);
+}
+
+TEST_F(FaultExitTest, UnlockRequestThatCannotBeSentFailsTheWrite) {
+  Boot();
+  VmOffset addr = MapManualObject(/*full_queue=*/false);
+  // Page 0 arrives unsolicited, locked against writing.
+  PagerDataProvidedArgs data;
+  data.data.assign(kPage, std::byte{7});
+  data.lock_value = kVmProtWrite;
+  ASSERT_EQ(MsgSend(request_port_, EncodePagerDataProvided(data)), KernReturn::kSuccess);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (kernel_->vm().Statistics().pageins == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(kernel_->vm().Statistics().pageins, 1u);
+  // Fill the manager's port: the unlock request can never be queued.
+  object_.receive.port()->SetBacklog(1);
+  ASSERT_EQ(MsgSend(object_.send, Message(kMsgPagerInit)), KernReturn::kSuccess);
+  const uint64_t v = 1;
+  EXPECT_EQ(task_->Write(addr, &v, sizeof(v)), KernReturn::kMemoryFailure);
+  uint8_t byte = 0;
+  EXPECT_EQ(task_->Read(addr, &byte, 1), KernReturn::kSuccess);
+  EXPECT_EQ(byte, 7);
+  task_.reset();
+  EXPECT_TRUE(FramesReturnTo(*kernel_, baseline_));
+}
+
+TEST_F(ExternalPagerTest, VmWriteWaitsOutAManagerLock) {
+  const uint32_t baseline = kernel_->phys().free_frames();
+  pager_.provide_lock = kVmProtWrite;
+  VmOffset addr = task_->VmAllocateWithPager(kPage, pager_.NewObject(), 0).value();
+  const uint64_t v = 0x5157;
+  ASSERT_EQ(task_->VmWrite(addr, &v, sizeof(v)), KernReturn::kSuccess);
+  EXPECT_EQ(pager_.unlock_count(), 1);
+  EXPECT_EQ(task_->ReadValue<uint64_t>(addr).value(), v);
+  task_.reset();
+  EXPECT_TRUE(FramesReturnTo(*kernel_, baseline));
+}
+
+// A copy-on-write child over an external manager's page, whose private copy
+// went to the default pager and cannot be read back (every paging-disk read
+// fails): the default pager answers pager_data_unavailable, so the fault
+// must rebuild the page from the shadow, faulting it in from the manager.
+class UnavailableOverShadowTest : public ::testing::Test {
+ protected:
+  UnavailableOverShadowTest() {
+    faults_.SetProbability(SimDisk::kFaultRead, 1.0);
+    Kernel::Config config;
+    config.frames = 32;
+    config.page_size = kPage;
+    config.disk_latency = DiskLatencyModel{0, 0};
+    config.fault_injector = &faults_;
+    config.vm.pager_timeout = std::chrono::milliseconds(500);
+    kernel_ = std::make_unique<Kernel>(config);
+    baseline_ = kernel_->phys().free_frames();
+    pager_.Start();
+    parent_ = kernel_->CreateTask(nullptr, "parent");
+    // Two pages, so the child's one-page copy never covers its whole shadow
+    // and the chain down to the manager's object is never bypassed.
+    base_ = parent_->VmAllocateWithPager(2 * kPage, pager_.NewObject(), 0).value();
+    child_ = kernel_->CreateTask(parent_, "child");
+    EXPECT_EQ(child_->WriteValue<uint64_t>(base_, 42), KernReturn::kSuccess);
+    // Ballast of three times memory pushes the child's copy out to the
+    // default pager and the manager's clean page out of memory.
+    constexpr VmSize kBallast = 96;
+    VmOffset ballast = child_->VmAllocate(kBallast * kPage).value();
+    for (VmOffset p = 0; p < kBallast; ++p) {
+      EXPECT_EQ(child_->WriteValue<uint64_t>(ballast + p * kPage, p), KernReturn::kSuccess);
+    }
+    EXPECT_EQ(child_->VmDeallocate(ballast, kBallast * kPage), KernReturn::kSuccess);
+  }
+  ~UnavailableOverShadowTest() override {
+    child_.reset();
+    parent_.reset();
+    pager_.Stop();
+  }
+
+  FaultInjector faults_{1};
+  std::unique_ptr<Kernel> kernel_;
+  uint32_t baseline_ = 0;
+  TestPager pager_;
+  std::shared_ptr<Task> parent_;
+  std::shared_ptr<Task> child_;
+  VmOffset base_ = 0;
+};
+
+TEST_F(UnavailableOverShadowTest, ObjectDeathDuringTheShadowCopyFreesThePage) {
+  pager_.mode = TestPager::Mode::kManual;
+  KernReturn verdict = KernReturn::kSuccess;
+  std::thread faulter([&] {
+    uint64_t out = 0;
+    verdict = child_->Read(base_, &out, sizeof(out));
+  });
+  // The shadow copy's request reached the manager: the fault is inside it.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pager_.pending_count() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(pager_.pending_count(), 1);
+  EXPECT_EQ(child_->VmDeallocate(base_, 2 * kPage), KernReturn::kSuccess);
+  pager_.AnswerPending();
+  faulter.join();
+  EXPECT_EQ(verdict, KernReturn::kMemoryFailure);
+  EXPECT_GE(kernel_->default_pager().backing_error_count(), 1u);
+  child_.reset();
+  parent_.reset();
+  EXPECT_TRUE(FramesReturnTo(*kernel_, baseline_));
+}
+
+TEST_F(UnavailableOverShadowTest, FailedShadowCopyLeavesThePageInError) {
+  pager_.mode = TestPager::Mode::kSilent;
+  uint64_t out = 0;
+  EXPECT_EQ(child_->Read(base_, &out, sizeof(out)), KernReturn::kMemoryFailure);
+  EXPECT_GE(kernel_->default_pager().backing_error_count(), 1u);
+  // The page stays resident in error: the next fault reports it at once.
+  EXPECT_EQ(child_->Read(base_, &out, sizeof(out)), KernReturn::kMemoryError);
+  child_.reset();
+  parent_.reset();
+  EXPECT_TRUE(FramesReturnTo(*kernel_, baseline_));
+}
+
+// A copy-on-write child whose shadow has a default-pager association reads
+// an offset it never pushed to the default pager: the fault must read
+// through to the backing object without asking the default pager (which
+// could only answer "unavailable") and without a frame for a private copy.
+TEST(DefaultPagerRequestTest, CowChildReadOfANeverPagedOffsetAsksNoPager) {
+  Kernel::Config config;
+  config.frames = 32;
+  config.page_size = kPage;
+  config.disk_latency = DiskLatencyModel{0, 0};
+  Kernel kernel(config);
+  const uint32_t baseline = kernel.phys().free_frames();
+  auto parent = kernel.CreateTask(nullptr, "parent");
+  VmOffset base = parent->VmAllocate(2 * kPage).value();
+  ASSERT_EQ(parent->WriteValue<uint64_t>(base, 10), KernReturn::kSuccess);
+  ASSERT_EQ(parent->WriteValue<uint64_t>(base + kPage, 11), KernReturn::kSuccess);
+  auto child = kernel.CreateTask(parent, "child");
+  ASSERT_EQ(child->WriteValue<uint64_t>(base, 20), KernReturn::kSuccess);
+  // Ballast of three times memory pushes the child's page 0 out to the
+  // default pager: its shadow object gains a default-pager association.
+  constexpr VmSize kBallast = 96;
+  VmOffset ballast = child->VmAllocate(kBallast * kPage).value();
+  for (VmOffset p = 0; p < kBallast; ++p) {
+    ASSERT_EQ(child->WriteValue<uint64_t>(ballast + p * kPage, p), KernReturn::kSuccess);
+  }
+  ASSERT_EQ(child->VmDeallocate(ballast, kBallast * kPage), KernReturn::kSuccess);
+  // The parent's read makes the backing object's page 1 resident again.
+  ASSERT_EQ(parent->ReadValue<uint64_t>(base + kPage).value(), 11u);
+
+  const uint64_t requests = kernel.default_pager().request_count();
+  const uint32_t free_before = kernel.phys().free_frames();
+  EXPECT_EQ(child->ReadValue<uint64_t>(base + kPage).value(), 11u);
+  EXPECT_EQ(kernel.default_pager().request_count(), requests);
+  EXPECT_EQ(kernel.phys().free_frames(), free_before);
+
+  // Precondition: page 0 really was paged out of the child's shadow, so the
+  // shadow had a default-pager association during the read above.
+  const uint64_t pageins = kernel.default_pager().pagein_count();
+  EXPECT_EQ(child->ReadValue<uint64_t>(base).value(), 20u);
+  EXPECT_GT(kernel.default_pager().pagein_count(), pageins);
+  child.reset();
+  parent.reset();
+  EXPECT_TRUE(FramesReturnTo(kernel, baseline));
 }
 
 }  // namespace
