@@ -125,7 +125,9 @@ BENCHMARK(BM_ForkChainBuild)
 // survivor's 8-page shadow. Iteration time is the exit alone (manual
 // timing: forks and writes are excluded), in microseconds per exit.
 // Counters: migrated_per_exit (pages re-homed by each splice, backing - 8),
-// collapses_per_exit (1 when every exit splices).
+// collapses_per_exit (1 when every exit splices), fork_us (the fork that
+// starts each iteration, which write-protects the parent's heap, in
+// microseconds).
 void BM_ForkExitBackingSweep(benchmark::State& state) {
   const uint64_t backing = static_cast<uint64_t>(state.range(0));
   constexpr uint64_t kWrites = 8;
@@ -137,8 +139,11 @@ void BM_ForkExitBackingSweep(benchmark::State& state) {
   }
   const VmStatistics before = kernel->vm().Statistics();
   uint64_t g = 0;
+  std::chrono::duration<double> fork_time{0};
   for (auto _ : state) {
+    const auto f0 = std::chrono::steady_clock::now();
     auto child = kernel->CreateTask(task, "gen");
+    fork_time += std::chrono::steady_clock::now() - f0;
     for (uint64_t i = 0; i < kWrites; ++i) {
       child->WriteValue<uint64_t>(base + ((g * kWrites + i) % backing) * kPage, g);
     }
@@ -154,6 +159,7 @@ void BM_ForkExitBackingSweep(benchmark::State& state) {
       static_cast<double>(after.pages_migrated - before.pages_migrated) / exits;
   state.counters["collapses_per_exit"] =
       static_cast<double>(after.shadow_collapses - before.shadow_collapses) / exits;
+  state.counters["fork_us"] = fork_time.count() * 1e6 / exits;
   state.counters["chain_len"] =
       static_cast<double>(kernel->vm().ShadowChainLength(task->vm_context(), base));
   task.reset();

@@ -28,9 +28,9 @@ run_suite() {
 #    correct if reclaiming queue cycles frees every byte;
 #  * the fault paths that free placeholder pages on early exits: fault-ahead's
 #    speculative runs (partial provide, pager death, teardown) and the
-#    fault-exit suites (failed sends, object death mid-request, failed shadow
-#    copies), so an unreleased placeholder or message buffer cannot land
-#    silently.
+#    fault-exit suites (failed sends, object death mid-request, lost
+#    default-pager copies), so an unreleased placeholder or message buffer
+#    cannot land silently.
 leak_lane() {
   export UBSAN_OPTIONS=${UBSAN_OPTIONS:-print_stacktrace=1}
   export ASAN_OPTIONS=${ASAN_OPTIONS:-detect_leaks=1}
@@ -75,9 +75,10 @@ case "$mode" in
     # Machine-readable perf lane: every bench binary writes one JSON
     # document on stdout into BENCH_<name>.json at the repo root, so perf
     # changes land as reviewable diffs alongside the code that caused them.
-    # google-benchmark binaries honour the format flag; the plain sweep
-    # programs (int main()) ignore it and print their own JSON, with any
-    # human-readable table on stderr.
+    # google-benchmark binaries honour the format flag and run each row
+    # five times, recording only the median, mean, stddev and CV rows; the
+    # plain sweep programs (int main()) ignore the flags and print their own
+    # JSON, with any human-readable table on stderr.
     cmake -B build -S .
     cmake --build build -j "$jobs"
     shift || true
@@ -95,7 +96,8 @@ case "$mode" in
         exit 2
       fi
       echo "=== bench_${name} -> BENCH_${name}.json"
-      "$bin" --benchmark_format=json > "BENCH_${name}.json"
+      "$bin" --benchmark_format=json --benchmark_repetitions=5 \
+        --benchmark_report_aggregates_only=true > "BENCH_${name}.json"
       if ! python3 -m json.tool "BENCH_${name}.json" > /dev/null; then
         echo "ci.sh bench: bench_${name} did not print valid JSON" >&2
         exit 1

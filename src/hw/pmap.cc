@@ -44,38 +44,44 @@ void Pmap::EnterLocked(VmOffset page_addr, uint32_t frame, VmProt prot) {
   phys_->PvAdd(frame, this, page_addr);
 }
 
-void Pmap::Remove(VmOffset start, VmOffset end) {
-  VmSize ps = phys_->page_size();
-  std::lock_guard<std::mutex> g(mu_);
-  for (VmOffset a = TruncPage(start, ps); a < end; a += ps) {
-    RemoveLocked(a);
+template <typename Fn>
+void Pmap::ForRangeLocked(VmOffset start, VmOffset end, Fn fn) {
+  const VmSize ps = phys_->page_size();
+  start = TruncPage(start, ps);
+  if (end <= start) {
+    return;
+  }
+  if ((end - start + ps - 1) / ps <= table_.size()) {
+    for (VmOffset a = start; a < end; a += ps) {
+      auto it = table_.find(a);
+      if (it != table_.end() && fn(it->second)) {
+        phys_->PvRemove(it->second.frame, this, a);
+        table_.erase(it);
+      }
+    }
+    return;
+  }
+  for (auto it = table_.begin(); it != table_.end();) {
+    if (it->first >= start && it->first < end && fn(it->second)) {
+      phys_->PvRemove(it->second.frame, this, it->first);
+      it = table_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
-void Pmap::RemoveLocked(VmOffset page_addr) {
-  auto it = table_.find(page_addr);
-  if (it == table_.end()) {
-    return;
-  }
-  phys_->PvRemove(it->second.frame, this, page_addr);
-  table_.erase(it);
+void Pmap::Remove(VmOffset start, VmOffset end) {
+  std::lock_guard<std::mutex> g(mu_);
+  ForRangeLocked(start, end, [](Translation&) { return true; });
 }
 
 void Pmap::Protect(VmOffset start, VmOffset end, VmProt prot) {
-  VmSize ps = phys_->page_size();
   std::lock_guard<std::mutex> g(mu_);
-  for (VmOffset a = TruncPage(start, ps); a < end; a += ps) {
-    auto it = table_.find(a);
-    if (it == table_.end()) {
-      continue;
-    }
-    if (prot == kVmProtNone) {
-      phys_->PvRemove(it->second.frame, this, a);
-      table_.erase(it);
-    } else {
-      it->second.prot &= prot;
-    }
-  }
+  ForRangeLocked(start, end, [prot](Translation& tr) {
+    tr.prot &= prot;
+    return prot == kVmProtNone;
+  });
 }
 
 void Pmap::LowerProtection(VmOffset page_addr, uint32_t frame, VmProt prot) {

@@ -67,14 +67,18 @@ class Pmap {
   void Remove(VmOffset start, VmOffset end);
 
   // pmap_protect: lowers the protection of translations in [start, end)
-  // to at most `prot` (removing them if prot == none).
+  // to at most `prot` (removing them if prot == none). Used for
+  // copy-on-write write-protection of a range only this pmap can map.
+  // Both range operations cost min(pages in the range, translations held)
+  // steps, so a large sparse range is as cheap as a small dense one.
   void Protect(VmOffset start, VmOffset end, VmProt prot);
 
   // pmap_page_protect: lowers the protection of *every* mapping of `frame`,
   // in all pmaps, to at most `prot`. Used for copy-on-write write-protection
-  // and for pageout (prot == none). Callers serialise against racing new
-  // mappings with the owning VmObject's lock (faults only install a frame
-  // while it is pinned, and pinned frames are re-checked at unpin).
+  // of pages other pmaps may map, and for pageout (prot == none). Callers
+  // serialise against racing new mappings with the owning VmObject's lock
+  // (faults only install a frame while it is pinned, and pinned frames are
+  // re-checked at unpin).
   static void PageProtect(PhysicalMemory* phys, uint32_t frame, VmProt prot);
 
   // Simulated CPU access: copies `len` bytes between `buf` and the virtual
@@ -101,7 +105,12 @@ class Pmap {
   };
 
   void EnterLocked(VmOffset page_addr, uint32_t frame, VmProt prot);
-  void RemoveLocked(VmOffset page_addr);
+
+  // Calls fn(translation) for each translation in [start, end),
+  // erasing it (and its pv entry) when fn returns true. Probes the range's
+  // pages or scans the table, whichever is fewer steps. Caller holds mu_.
+  template <typename Fn>
+  void ForRangeLocked(VmOffset start, VmOffset end, Fn fn);
 
   // Called by PageProtect via the pv list.
   void LowerProtection(VmOffset page_addr, uint32_t frame, VmProt prot);

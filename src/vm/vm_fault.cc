@@ -24,9 +24,9 @@
 //   4. COW copy (CopyOnWrite): a write that found the page in a backing
 //      object pushes a private copy into the top object;
 //   5. settle / zero fill (Unpark, SettleUnavailable, ZeroFillAtCursor):
-//      parked data comes back, a pager's "unavailable" is rebuilt from the
-//      shadow or zeroed, and a chain with no data zero-fills in the top
-//      object.
+//      parked data comes back, a manager's "unavailable" is zeroed (the
+//      default pager's means lost data and follows the failure policy), and
+//      a chain with no data zero-fills in the top object.
 //
 // Step contract: a phase is entered with `w.olk` holding `w.object`'s mu and
 // returns one FaultStep: kDone with the page pinned; kRescan (start over from
@@ -496,6 +496,12 @@ VmSystem::FaultStep VmSystem::AwaitPage(FaultWalk& w, VmPage* page) {
     counters_.unlock_requests.fetch_add(1, std::memory_order_relaxed);
     PagerDataUnlockArgs args{w.object->request_send, page->offset, page_size(), w.fault_type};
     if (!IsOk(SendToPager(w.olk, w.object, EncodePagerDataUnlock(args)))) {
+      // The send dropped the lock, so `page` may be gone: re-find it. Left
+      // set, the flag would make every later write wait out the timeout
+      // for an answer to a request that was never queued.
+      if (VmPage* again = w.object->pages.Find(w.offset); again != nullptr) {
+        again->unlock_pending = false;
+      }
       return FaultStep::Fail(KernReturn::kMemoryFailure);
     }
   }
@@ -650,38 +656,26 @@ VmSystem::FaultStep VmSystem::CopyOnWrite(FaultWalk& w, VmPage* source) {
 }
 
 VmSystem::FaultStep VmSystem::SettleUnavailable(FaultWalk& w, VmPage* page) {
-  if (w.object->shadow == nullptr) {
-    ZeroFill(page);
-  } else {
-    page->busy = true;  // Own the page across the recursion.
-    const std::shared_ptr<VmObject> backing_object = w.object->shadow;
-    const VmOffset backing_offset = w.offset + w.object->shadow_offset;
-    Result<PagePin> backing = KernReturn::kFailure;
-    {
-      ScopedUnlock unlock(w.olk);
-      backing = ResolvePage(backing_object, backing_offset, kVmProtRead);
-    }
-    // We own the busy page: even on failure we must settle it ourselves
-    // (nobody else may touch a busy page).
-    if (!w.object->alive) {
-      if (backing.ok()) {
-        UnpinPage(backing.value());
-      }
-      PageFreeLocked(w.olk, page);
+  if (w.object->internal) {
+    // The default pager is asked only for offsets pushed to it
+    // (PagerMayHold), so its "unavailable" means that copy was lost: neither
+    // zeroes nor the shadow's older data may stand in for it silently. The
+    // §6.2.1 policy decides, as for a timeout.
+    if (!SettleByPolicyLocked(page)) {
+      page->unavailable = false;
+      page->absent = false;
+      page->error = true;
       w.object->cv.notify_all();
       return FaultStep::Fail(KernReturn::kMemoryFailure);
     }
-    page->busy = false;
-    if (!backing.ok()) {
-      page->error = true;
-      w.object->cv.notify_all();
-      return FaultStep::Fail(backing.status());
-    }
-    phys_->CopyFrame(backing.value().page->frame, page->frame);
-    UnpinPage(backing.value());
+  } else {
+    // An external manager has no data for the page (§3.4.1). Pager-created
+    // objects never shadow another, so there is nothing older to copy.
+    assert(w.object->shadow == nullptr);
+    ZeroFill(page);
+    page->unavailable = false;
+    page->absent = false;
   }
-  page->unavailable = false;
-  page->absent = false;
   w.object->cv.notify_all();
   return FaultStep::Rescan();
 }

@@ -51,8 +51,9 @@ struct VmPage {
   bool absent = false;  // Data has been requested but has not arrived.
   bool error = false;   // The data manager reported failure for this page.
   bool unavailable = false;  // pager_data_unavailable arrived: the faulting
-                             // thread must zero-fill or copy from the shadow
-                             // (footnote 6 of the paper).
+                             // thread zero-fills (footnote 6 of the paper),
+                             // or applies the failure policy when the
+                             // default pager lost a copy it was given.
   bool dirty = false;   // Modified since last cleaned (kernel's view; the
                         // hardware modify bit is OR'd in when sampled).
   bool unlock_pending = false;  // A pager_data_unlock has been sent and not

@@ -417,10 +417,17 @@ void VmSystem::ReleaseEntry(ChainLock& chain, MapEntry&& entry) {
   }
 }
 
-void VmSystem::WriteProtectResident(VmObject* object, VmOffset offset, VmSize size) {
+void VmSystem::WriteProtectForCopy(Pmap* pmap, const MapEntry& holder) {
+  if (pmap != nullptr && holder.object->map_refs.load(std::memory_order_acquire) == 1) {
+    pmap->Protect(holder.start, holder.end, kVmProtRead | kVmProtExecute);
+    return;
+  }
+  VmObject* object = holder.object.get();
+  const VmOffset lo = holder.offset;
+  const VmOffset hi = holder.offset + holder.size();
   ObjectLock olk(object->mu);
   for (VmPage* page : object->pages) {
-    if (page->offset >= offset && page->offset < offset + size) {
+    if (page->offset >= lo && page->offset < hi) {
       Pmap::PageProtect(phys_, page->frame, kVmProtRead | kVmProtExecute);
     }
   }
@@ -660,16 +667,18 @@ uint64_t VmSystem::MergeShadowPagesLocked(ObjectLock& slk, VmObject* child, VmOb
     }
   }
   // Pages outside the window die with the shadow (as do superseded ones not
-  // already dropped above). Any surviving hardware mappings are read-only —
-  // from_backing resolutions never map a shadow's page writable — but drop
-  // write access defensively before the identity change.
+  // already dropped above). The survivors are renamed without pmap work, as
+  // Mach's vm_page_rename: none has a writable mapping. `backing` has no
+  // reference but the child's shadow pointer, so no map entry maps it; every
+  // install from a backing object clamps write (from_backing, needs_copy);
+  // and the fork or CopyIn that made its entry copy-on-write, before any
+  // shadow was pushed in front of it, lowered every writable mapping of its
+  // pages (WriteProtectForCopy).
   backing->pages.ForEach([&](VmPage* page) {
     if (page->offset < window_lo || page->offset >= window_hi ||
         (!adopt && ObjectCoversOffset(child, page->offset - window_lo))) {
       PageFreeLocked(slk, page);
-      return;
     }
-    Pmap::PageProtect(phys_, page->frame, kVmProtRead | kVmProtExecute);
   });
   // Every page left in backing's table now survives into the child. The
   // pageout scan reads a queued page's identity under queue_mu_ alone, so
@@ -1103,9 +1112,9 @@ void VmSystem::ForkMap(TaskVm& parent, TaskVm& child) {
               child_entry.object = sub->object;
               child_entry.offset = sub->offset;
               child_entry.needs_copy = true;
-              ObjectRef(sub->object);
               sub->needs_copy = true;
-              WriteProtectResident(sub->object.get(), sub->offset, sub->size());
+              WriteProtectForCopy(nullptr, *sub);
+              ObjectRef(sub->object);
             }
             child.map->Insert(std::move(child_entry));
           }
@@ -1116,8 +1125,7 @@ void VmSystem::ForkMap(TaskVm& parent, TaskVm& child) {
         } else {
           // Symmetric copy-on-write (§5.5): both sides shadow on write.
           entry->needs_copy = true;
-          WriteProtectResident(entry->object.get(),
-                               entry->offset, entry->size());
+          WriteProtectForCopy(parent.pmap.get(), *entry);
           MapEntry child_entry = *entry;
           ObjectRef(child_entry.object);
           child.map->Insert(std::move(child_entry));
@@ -1154,9 +1162,9 @@ Result<std::shared_ptr<VmMapCopy>> VmSystem::CopyIn(TaskVm& task, VmOffset addr,
         if (sub->object != nullptr) {
           seg.object = sub->object;
           seg.offset = sub->offset;
-          ObjectRef(sub->object);
           sub->needs_copy = true;
-          WriteProtectResident(sub->object.get(), sub->offset, sub->size());
+          WriteProtectForCopy(nullptr, *sub);
+          ObjectRef(sub->object);
         }
         copy->segments().push_back(std::move(seg));
       }
@@ -1166,9 +1174,9 @@ Result<std::shared_ptr<VmMapCopy>> VmSystem::CopyIn(TaskVm& task, VmOffset addr,
       if (top->object != nullptr) {
         seg.object = top->object;
         seg.offset = top->offset;
-        ObjectRef(top->object);
         top->needs_copy = true;
-        WriteProtectResident(top->object.get(), top->offset, top->size());
+        WriteProtectForCopy(task.pmap.get(), *top);
+        ObjectRef(top->object);
       }
       copy->segments().push_back(std::move(seg));
     }

@@ -535,7 +535,17 @@ class VmSystem {
   void ObjectRelease(ChainLock& chain, std::shared_ptr<VmObject> object);
   void TerminateObject(ChainLock& chain, const std::shared_ptr<VmObject>& object);
   void ReleaseEntry(ChainLock& chain, MapEntry&& entry);
-  void WriteProtectResident(VmObject* object, VmOffset offset, VmSize size);
+  // Copy-on-write protection (§5.5) for a fork or CopyIn of `holder`: lowers
+  // every writable hardware mapping of the pages it maps to read-only. A
+  // direct entry (`pmap` = the task's pmap) that holds its object's only
+  // reference is the one place those pages can be mapped, so one range
+  // protect of [holder.start, holder.end) in `pmap` does it; otherwise
+  // (a sharing-map sub-entry, passed with a null `pmap`, a clipped entry,
+  // or an object other entries map) each resident page's pv list is walked.
+  // Call before the copy takes its reference. Caller holds the holder's map
+  // exclusively: an optimistic install then either lands before the
+  // protect or fails its generation check (Pmap::EnterIf).
+  void WriteProtectForCopy(Pmap* pmap, const MapEntry& holder);
 
   // Ensures an internal object has a default-pager association
   // (pager_create). Caller holds chain_mu_ and the object's mu.
@@ -560,8 +570,8 @@ class VmSystem {
 
   // The splice's page work: every page of `backing` (child's immediate
   // shadow) that `child` can still read through its window is re-homed into
-  // `child` — write-protected, relabelled to the child's offset under one
-  // queue_mu_ acquisition, and marked dirty — and every other page of
+  // `child` — relabelled to the child's offset under one queue_mu_
+  // acquisition and marked dirty, with no pmap work — and every other page of
   // `backing` is freed. The smaller page set merges into the larger: when
   // the child holds fewer pages and its window starts at offset 0, it
   // adopts backing's whole table (swap) and only its own pages are

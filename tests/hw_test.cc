@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -153,6 +154,39 @@ TEST_F(PmapTest, ProtectToNoneRemoves) {
   pmap_.Enter(0x1000, f, kVmProtDefault);
   pmap_.Protect(0x1000, 0x2000, kVmProtNone);
   EXPECT_EQ(pmap_.entry_count(), 0u);
+}
+
+// A fork protects a task's whole entry range in one call, and the range may
+// be far larger than what is mapped: both range operations must cost what
+// the pmap holds, not the 2^35 pages of a 47-bit address space.
+TEST_F(PmapTest, RangeOperationsOverAHugeSparseRangeVisitOnlyItsTranslations) {
+  constexpr VmOffset kTop = VmOffset{1} << 47;
+  const VmOffset addrs[] = {0x1000, 0x4000'0000, kTop - kPage};
+  uint32_t frames[3];
+  for (int i = 0; i < 3; ++i) {
+    frames[i] = *phys_.AllocFrame();
+    pmap_.Enter(addrs[i], frames[i], kVmProtDefault);
+  }
+  Pmap other(&phys_);
+  other.Enter(0x1000, frames[0], kVmProtDefault);
+  const auto started = std::chrono::steady_clock::now();
+
+  pmap_.Protect(0, kTop, kVmProtRead);
+  for (VmOffset a : addrs) {
+    EXPECT_EQ(*pmap_.ProtectionOf(a), kVmProtRead);
+  }
+  EXPECT_EQ(*other.ProtectionOf(0x1000), kVmProtDefault);  // Not this pmap's.
+
+  pmap_.Remove(0x2000, kTop - kPage);  // Only the middle translation.
+  EXPECT_EQ(pmap_.entry_count(), 2u);
+  EXPECT_FALSE(pmap_.ProtectionOf(addrs[1]).has_value());
+  EXPECT_TRUE(phys_.PvList(frames[1]).empty());
+
+  pmap_.Remove(0, kTop);
+  EXPECT_EQ(pmap_.entry_count(), 0u);
+  EXPECT_EQ(phys_.PvList(frames[0]).size(), 1u);  // The other pmap's.
+  EXPECT_TRUE(phys_.PvList(frames[2]).empty());
+  EXPECT_LT(std::chrono::steady_clock::now() - started, std::chrono::seconds(1));
 }
 
 TEST_F(PmapTest, PageProtectHitsAllPmaps) {

@@ -1058,6 +1058,23 @@ TEST_F(FaultExitTest, UnlockRequestThatCannotBeSentFailsTheWrite) {
   uint8_t byte = 0;
   EXPECT_EQ(task_->Read(addr, &byte, 1), KernReturn::kSuccess);
   EXPECT_EQ(byte, 7);
+
+  // Once the port drains, the next write asks again (the failed request
+  // left nothing pending) and completes as soon as the manager unlocks,
+  // well inside the 300 ms fault budget.
+  Receive(kMsgPagerInit);
+  const auto started = std::chrono::steady_clock::now();
+  KernReturn verdict = KernReturn::kFailure;
+  std::thread writer([&] { verdict = task_->Write(addr, &v, sizeof(v)); });
+  Receive(kMsgPagerDataUnlock);
+  PagerDataLockArgs grant;
+  grant.length = kPage;
+  grant.lock_value = kVmProtNone;
+  EXPECT_EQ(MsgSend(request_port_, EncodePagerDataLock(grant)), KernReturn::kSuccess);
+  writer.join();
+  EXPECT_EQ(verdict, KernReturn::kSuccess);
+  EXPECT_LT(std::chrono::steady_clock::now() - started, std::chrono::milliseconds(250));
+  EXPECT_EQ(kernel_->vm().Statistics().unlock_requests, 2u);
   task_.reset();
   EXPECT_TRUE(FramesReturnTo(*kernel_, baseline_));
 }
@@ -1076,11 +1093,13 @@ TEST_F(ExternalPagerTest, VmWriteWaitsOutAManagerLock) {
 
 // A copy-on-write child over an external manager's page, whose private copy
 // went to the default pager and cannot be read back (every paging-disk read
-// fails): the default pager answers pager_data_unavailable, so the fault
-// must rebuild the page from the shadow, faulting it in from the manager.
+// fails): the default pager answers pager_data_unavailable for a page it was
+// given, so the copy is lost. The fault must report that (or zero-fill under
+// the kZeroFill policy), never rebuild the page from the shadow, whose data
+// is older than the child's write.
 class UnavailableOverShadowTest : public ::testing::Test {
  protected:
-  UnavailableOverShadowTest() {
+  void Boot(VmSystem::Config::OnPagerTimeout policy = VmSystem::Config::OnPagerTimeout::kError) {
     faults_.SetProbability(SimDisk::kFaultRead, 1.0);
     Kernel::Config config;
     config.frames = 32;
@@ -1088,6 +1107,7 @@ class UnavailableOverShadowTest : public ::testing::Test {
     config.disk_latency = DiskLatencyModel{0, 0};
     config.fault_injector = &faults_;
     config.vm.pager_timeout = std::chrono::milliseconds(500);
+    config.vm.on_pager_timeout = policy;
     kernel_ = std::make_unique<Kernel>(config);
     baseline_ = kernel_->phys().free_frames();
     pager_.Start();
@@ -1121,36 +1141,31 @@ class UnavailableOverShadowTest : public ::testing::Test {
   VmOffset base_ = 0;
 };
 
-TEST_F(UnavailableOverShadowTest, ObjectDeathDuringTheShadowCopyFreesThePage) {
-  pager_.mode = TestPager::Mode::kManual;
-  KernReturn verdict = KernReturn::kSuccess;
-  std::thread faulter([&] {
-    uint64_t out = 0;
-    verdict = child_->Read(base_, &out, sizeof(out));
-  });
-  // The shadow copy's request reached the manager: the fault is inside it.
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (pager_.pending_count() == 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(pager_.pending_count(), 1);
-  EXPECT_EQ(child_->VmDeallocate(base_, 2 * kPage), KernReturn::kSuccess);
-  pager_.AnswerPending();
-  faulter.join();
-  EXPECT_EQ(verdict, KernReturn::kMemoryFailure);
+TEST_F(UnavailableOverShadowTest, LostPagedCopyFailsTheRead) {
+  Boot();
+  const int requests = pager_.request_count();
+  uint64_t out = 0;
+  EXPECT_EQ(child_->Read(base_, &out, sizeof(out)), KernReturn::kMemoryFailure);
+  EXPECT_NE(out, TestPager::Stamp(0));
   EXPECT_GE(kernel_->default_pager().backing_error_count(), 1u);
+  // The manager's older page was never asked for in place of the lost copy.
+  EXPECT_EQ(pager_.request_count(), requests);
+  // The page stays resident in error: the next fault reports it at once.
+  EXPECT_EQ(child_->Read(base_, &out, sizeof(out)), KernReturn::kMemoryError);
+  // The parent's view is untouched: it still reads the manager's page.
+  EXPECT_EQ(parent_->ReadValue<uint64_t>(base_).value(), TestPager::Stamp(0));
   child_.reset();
   parent_.reset();
   EXPECT_TRUE(FramesReturnTo(*kernel_, baseline_));
 }
 
-TEST_F(UnavailableOverShadowTest, FailedShadowCopyLeavesThePageInError) {
-  pager_.mode = TestPager::Mode::kSilent;
-  uint64_t out = 0;
-  EXPECT_EQ(child_->Read(base_, &out, sizeof(out)), KernReturn::kMemoryFailure);
-  EXPECT_GE(kernel_->default_pager().backing_error_count(), 1u);
-  // The page stays resident in error: the next fault reports it at once.
-  EXPECT_EQ(child_->Read(base_, &out, sizeof(out)), KernReturn::kMemoryError);
+TEST_F(UnavailableOverShadowTest, LostPagedCopyZeroFillsUnderPolicy) {
+  Boot(VmSystem::Config::OnPagerTimeout::kZeroFill);
+  const int requests = pager_.request_count();
+  uint64_t out = 0xFF;
+  EXPECT_EQ(child_->Read(base_, &out, sizeof(out)), KernReturn::kSuccess);
+  EXPECT_EQ(out, 0u);
+  EXPECT_EQ(pager_.request_count(), requests);
   child_.reset();
   parent_.reset();
   EXPECT_TRUE(FramesReturnTo(*kernel_, baseline_));

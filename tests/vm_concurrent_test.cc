@@ -611,5 +611,52 @@ TEST(VmConcurrentTest, ForkExitCollapseRacesOptimisticFaultsAndPageout) {
   ExpectTeardownToBaseline(*kernel, free_baseline);
 }
 
+// Copy-on-write protection at fork: a writer thread keeps bumping the
+// parent's heap through its writable translations while the main thread
+// forks. Each fork lowers every such translation before CreateTask returns,
+// so a child may read a write that was in flight during the fork but never
+// one begun after it.
+TEST(VmConcurrentTest, ForkSnapshotExcludesWritesBegunAfterTheFork) {
+  constexpr int kHeap = 64;
+  constexpr int kForks = 48;
+  auto kernel = MakeKernel(1024);  // Roomy: no pageout.
+  const uint64_t free_baseline = kernel->phys().free_frames();
+  auto parent = kernel->CreateTask(nullptr, "fork-parent");
+  const VmOffset base = parent->VmAllocate(VmSize{kHeap} * kPage).value();
+  for (uint64_t p = 0; p < kHeap; ++p) {
+    ASSERT_EQ(parent->WriteValue<uint64_t>(base + p * kPage, 0), KernReturn::kSuccess);
+  }
+  std::atomic<uint64_t> begun{0};  // The newest value a write has begun with.
+  std::atomic<bool> stop{false};
+  std::atomic<int> errors{0};
+  std::thread writer([&] {
+    for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      const uint64_t v = begun.fetch_add(1) + 1;
+      if (parent->WriteValue<uint64_t>(base + (i % kHeap) * kPage, v) != KernReturn::kSuccess) {
+        ++errors;
+      }
+    }
+  });
+  for (int f = 0; f < kForks; ++f) {
+    auto child = kernel->CreateTask(parent, "fork-child");
+    const uint64_t ceiling = begun.load();
+    // Let the writer rewrite every page after the fork before the child looks.
+    while (begun.load() < ceiling + 2 * kHeap) {
+      std::this_thread::yield();
+    }
+    for (uint64_t p = 0; p < kHeap; ++p) {
+      Result<uint64_t> got = child->ReadValue<uint64_t>(base + p * kPage);
+      if (!got.ok() || got.value() > ceiling) {
+        ++errors;
+      }
+    }
+  }  // Each child exits here, while the writer runs.
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(errors.load(), 0);
+  parent.reset();
+  ExpectTeardownToBaseline(*kernel, free_baseline);
+}
+
 }  // namespace
 }  // namespace mach

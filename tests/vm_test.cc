@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <thread>
 #include <utility>
@@ -901,6 +902,122 @@ TEST_F(ShadowCollapseTest, ExternalPagerBackedShadowIsNeverSpliced) {
   EXPECT_EQ(task->ReadValue<uint64_t>(base + 3 * kPage).value(), 105u);
   task.reset();
   pager.Stop();
+}
+
+// --- copy-on-write protection ---------------------------------------------------
+//
+// A fork or CopyIn lowers every writable translation of the pages it makes
+// copy-on-write: one range protect in the task's own pmap when the entry
+// holds its object's only reference, a pv-list walk of each page otherwise.
+// A collapse renames the backing object's pages with no pmap work at all,
+// which is sound only because none of them is still mapped writable.
+
+// Whether any pmap holds a writable translation of `frame`.
+bool MappedWritable(Kernel& kernel, uint32_t frame) {
+  for (const PvEntry& e : kernel.phys().PvList(frame)) {
+    std::optional<VmProt> prot = e.pmap->ProtectionOf(e.vaddr);
+    if (prot.has_value() && (*prot & kVmProtWrite) != 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Writes every page of [base, base + pages) and checks the task's pmap now
+// maps each one writable.
+void WriteEachPage(Task& task, VmOffset base, uint64_t pages) {
+  for (uint64_t p = 0; p < pages; ++p) {
+    const VmOffset addr = base + p * kPage;
+    ASSERT_EQ(task.WriteValue<uint64_t>(addr, p), KernReturn::kSuccess);
+    ASSERT_EQ(task.vm_context().pmap->ProtectionOf(addr).value_or(kVmProtNone) & kVmProtWrite,
+              kVmProtWrite);
+  }
+}
+
+// Checks that no pmap maps any page of [base, base + pages) of `task`
+// writable, and that the task's own translations survive (lowered, not
+// removed).
+void ExpectNoWritableTranslation(Kernel& kernel, Task& task, VmOffset base, uint64_t pages) {
+  const Pmap& pmap = *task.vm_context().pmap;
+  for (uint64_t p = 0; p < pages; ++p) {
+    const VmOffset addr = base + p * kPage;
+    const std::optional<uint32_t> frame = pmap.Translate(addr, kVmProtRead);
+    ASSERT_TRUE(frame.has_value()) << "page " << p;
+    EXPECT_EQ(pmap.ProtectionOf(addr).value() & kVmProtWrite, kVmProtNone) << "page " << p;
+    EXPECT_FALSE(MappedWritable(kernel, *frame)) << "page " << p;
+  }
+}
+
+TEST_F(VmOpsTest, ForkOfASoleReferenceEntryWriteProtectsItsRange) {
+  constexpr uint64_t kHeap = 32;
+  const VmOffset base = task_->VmAllocate(kHeap * kPage).value();
+  WriteEachPage(*task_, base, kHeap);
+  std::shared_ptr<Task> child = kernel_->CreateTask(task_);
+  ExpectNoWritableTranslation(*kernel_, *task_, base, kHeap);
+  EXPECT_EQ(child->vm_context().pmap->entry_count(), 0u);
+  EXPECT_EQ(child->ReadValue<uint64_t>(base + 3 * kPage).value(), 3u);
+}
+
+TEST_F(VmOpsTest, CopyInOfASoleReferenceEntryWriteProtectsItsRange) {
+  constexpr uint64_t kPages = 16;
+  const VmOffset base = task_->VmAllocate(kPages * kPage).value();
+  WriteEachPage(*task_, base, kPages);
+  Result<std::shared_ptr<VmMapCopy>> copy =
+      kernel_->vm().CopyIn(task_->vm_context(), base, kPages * kPage);
+  ASSERT_TRUE(copy.ok());
+  ExpectNoWritableTranslation(*kernel_, *task_, base, kPages);
+}
+
+TEST_F(VmOpsTest, ForkOfAnObjectTwoTasksMapWriteProtectsEveryMapping) {
+  constexpr uint64_t kPages = 8;
+  PatternPager pager;
+  pager.Start();
+  SendRight object = pager.NewObject();
+  std::shared_ptr<Task> other = kernel_->CreateTask(nullptr, "other");
+  const VmOffset a = task_->VmAllocateWithPager(kPages * kPage, object, 0).value();
+  const VmOffset b = other->VmAllocateWithPager(kPages * kPage, object, 0).value();
+  WriteEachPage(*task_, a, kPages);
+  WriteEachPage(*other, b, kPages);
+  std::shared_ptr<Task> child = kernel_->CreateTask(task_);
+  // The object has a second reference, so the fork walks each page's pv
+  // list: the other task's writable translations are lowered too.
+  ExpectNoWritableTranslation(*kernel_, *task_, a, kPages);
+  ExpectNoWritableTranslation(*kernel_, *other, b, kPages);
+  child.reset();
+  other.reset();
+  task_.reset();
+  pager.Stop();
+}
+
+TEST_F(ShadowCollapseTest, AdoptedSurvivorsHaveNoWritableTranslation) {
+  constexpr uint64_t kHeap = 512;
+  auto kernel = MakeKernel(nullptr, 2048);
+  auto parent = kernel->CreateTask(nullptr, "parent");
+  const VmOffset base = parent->VmAllocate(kHeap * kPage).value();
+  WriteEachPage(*parent, base, kHeap);
+  auto child = kernel->CreateTask(parent, "child");
+  for (uint64_t p = 0; p < kHeap; p += 4) {  // Read-only child translations.
+    ASSERT_EQ(child->ReadValue<uint64_t>(base + p * kPage).value(), p);
+  }
+  for (uint64_t i = 0; i < 8; ++i) {
+    ASSERT_EQ(parent->WriteValue<uint64_t>(base + i * 64 * kPage, i), KernReturn::kSuccess);
+  }
+  const VmStatistics before = kernel->vm().Statistics();
+  child.reset();  // The exit splices the 512-page object into the shadow.
+  const VmStatistics after = kernel->vm().Statistics();
+  ASSERT_EQ(after.shadow_collapses - before.shadow_collapses, 1u);
+  ASSERT_EQ(after.pages_migrated - before.pages_migrated, kHeap - 8);
+  // Each survivor keeps the parent's read-only translation from the fork;
+  // no pmap maps one writable. (The parent's 8 copies are its own pages.)
+  const Pmap& pmap = *parent->vm_context().pmap;
+  for (uint64_t p = 0; p < kHeap; ++p) {
+    if (p % 64 == 0) {
+      continue;
+    }
+    const std::optional<uint32_t> frame = pmap.Translate(base + p * kPage, kVmProtRead);
+    ASSERT_TRUE(frame.has_value()) << "page " << p;
+    EXPECT_FALSE(MappedWritable(*kernel, *frame)) << "page " << p;
+  }
 }
 
 // --- fault-path lock budget ---------------------------------------------------
